@@ -302,7 +302,14 @@ int main(int argc, char** argv) {
                               pt::support::buildIsOptimized() ? "1" : "0");
   benchmark::AddCustomContext("pt_simd_isa", pt::support::simdIsaName());
   CaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  // One phase sink for every run (records only in PT_MATVEC_TIMERS builds).
+  // Google Benchmark runs single-threaded benchmarks on the calling thread,
+  // so this thread-local scope covers all of them.
+  pt::obs::PhaseSet matvecPhases;
+  {
+    pt::fem::MatvecPhaseScope scope(matvecPhases);
+    benchmark::RunSpecifiedBenchmarks(&reporter);
+  }
   benchmark::Shutdown();
 
   pt::obs::BenchReport rep("fig4_matvec_throughput");
@@ -334,7 +341,7 @@ int main(int argc, char** argv) {
   std::printf("\nMATVEC phase breakdown (all variants pooled):\n");
   pt::obs::BenchConfig phasesCfg;
   phasesCfg.name = "matvec-phases-pooled";
-  for (const auto& [name, t] : pt::fem::matvecPhases().all()) {
+  for (const auto& [name, t] : matvecPhases.all()) {
     std::printf("  %-12s %10.3f s  (%ld calls)\n", name.c_str(), t.seconds(),
                 t.calls());
     phasesCfg.phases.emplace(name, t);

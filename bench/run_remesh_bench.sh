@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds (Release preset) and runs the Fig 8 remesh-pipeline benchmark.
-# Produces BENCH_remesh.json in the repo root and exits nonzero if any
-# configuration's final tree/fields diverge from the baseline path.
+# Produces BENCH_remesh.json in the repo root and exits nonzero if the
+# 4-thread run's final tree/fields diverge from the serial run's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -52,13 +52,10 @@ namespace pt::fem {
 // job's own telemetry. The engine resolves the sink ONCE at entry on the
 // coordinating thread (pool workers carry no scope of their own) and hands
 // the resolved set to its workers, so a scope installed around a threaded
-// matvec attributes every phase lap correctly. The process-global static
-// remains the legacy fallback for scopeless callers (benches, tests).
+// matvec attributes every phase lap correctly. With no scope installed
+// the engines record nothing: the timer handle is null and
+// obs::PhaseLap::end ignores it.
 #ifdef PT_MATVEC_TIMERS
-inline obs::PhaseSet& matvecPhases() {
-  static obs::PhaseSet ps;
-  return ps;
-}
 namespace phasedetail {
 inline obs::PhaseSet*& sinkSlot() {
   thread_local obs::PhaseSet* sink = nullptr;
@@ -66,15 +63,12 @@ inline obs::PhaseSet*& sinkSlot() {
 }
 }  // namespace phasedetail
 /// The PhaseSet the next engine entered on this thread will time into:
-/// the innermost installed MatvecPhaseScope, else the legacy static.
-inline obs::PhaseSet* activeMatvecPhases() {
-  obs::PhaseSet* s = phasedetail::sinkSlot();
-  return s ? s : &matvecPhases();
-}
+/// the innermost installed MatvecPhaseScope, or null without one.
+inline obs::PhaseSet* activeMatvecPhases() { return phasedetail::sinkSlot(); }
 #define PT_MV_PHASES(var) \
   ::pt::obs::PhaseSet* var = ::pt::fem::activeMatvecPhases()
-#define PT_MV_TIMER(ps, var, name)         \
-  ::pt::obs::Phase* var = &(*(ps))[name];  \
+#define PT_MV_TIMER(ps, var, name)                          \
+  ::pt::obs::Phase* var = (ps) ? &(*(ps))[name] : nullptr; \
   ::pt::obs::PhaseLap var##Lap
 #define PT_MV_START(var) (var##Lap.begin())
 #define PT_MV_STOP(var) (var##Lap.end(var))

@@ -17,8 +17,8 @@
 // constant value, so results are bitwise identical for any thread count.
 // The erosion/dilation sweep additionally replaces Algorithm 2's per-step
 // `next = cur` full-field copy with ping-pong buffers plus a written-node
-// dirty list (IdentifyParams::fastPath), touching only interface-adjacent
-// and partition-shared nodes between steps.
+// dirty list, touching only interface-adjacent and partition-shared nodes
+// between steps.
 //
 // Sign conventions (the published listings of Algorithms 3-4 carry a couple
 // of typographical sign flips; we implement the semantics the surrounding
@@ -58,9 +58,6 @@ struct IdentifyParams {
   int cnExtraDilateSteps = 2;
   Real cnCoarse = 0.02;  ///< Cn2: ambient Cahn number
   Real cnFine = 0.01;    ///< Cn1 < Cn2: reduced Cahn in identified regions
-  /// Ping-pong + dirty-list erosion/dilation sweep (bitwise identical to
-  /// the historical full-copy loop; off = the measured bench baseline).
-  bool fastPath = true;
 };
 
 /// Threshold(phi) -> phi_BW in {-1,+1} (Eq 4). Pointwise, stays consistent.
@@ -142,53 +139,17 @@ void scatterInsertElemCollect(const RankMesh<DIM>& rm, std::size_t e,
 /// the nodal vector, with level-aware counters relative to the reference
 /// (finest) level `bl`. Returns the processed vector; `vec` is not modified.
 ///
-/// fastPath = true (default) runs the ping-pong + dirty-list + threaded
-/// sweep; false runs the historical full-copy serial loop. Both produce
-/// bitwise-identical fields and charge identical simulated work: decisions
-/// read only the immutable current buffer, writes insert one constant
-/// value, and the scatter is replayed sequentially in element order.
+/// Ping-pong buffers plus a dirty list stand in for the listing's per-step
+/// full copy. The result is bitwise identical to that copy loop at any
+/// thread count: decisions read only the immutable current buffer, writes
+/// insert one constant value, and the scatter runs sequentially in element
+/// order.
 template <int DIM>
 Field erodeDilate(const Mesh<DIM>& mesh, const Field& vec, Stage stage,
-                  int numSteps, Level bl, bool fastPath = true) {
+                  int numSteps, Level bl) {
   constexpr int kC = kNumChildren<DIM>;
   const int p = mesh.nRanks();
   const Real val = (stage == Stage::kErosion) ? -1.0 : +1.0;
-
-  if (!fastPath) {
-    // Historical baseline (the fig8 bench's measured reference): full
-    // `next = cur` copy and fresh written flags per step, serial loop.
-    Field cur = vec;
-    sim::PerRank<std::vector<int>> counter(p);
-    for (int r = 0; r < p; ++r) counter[r].assign(mesh.rank(r).nElems(), 0);
-
-    std::vector<Real> uLoc(kC), wLoc(kC);
-    for (int step = 0; step < numSteps; ++step) {
-      Field next = cur;  // vec_temp <- vec_ghosted
-      sim::PerRank<std::vector<char>> written(p);
-      for (int r = 0; r < p; ++r) {
-        const RankMesh<DIM>& rm = mesh.rank(r);
-        written[r].assign(rm.nNodes(), 0);
-        for (std::size_t e = 0; e < rm.nElems(); ++e) {
-          fem::gatherElem(rm, e, cur[r], 1, uLoc.data());
-          if (!elementHasInterface<DIM>(uLoc.data())) continue;
-          const int wait = bl - rm.elems[e].level;
-          if (counter[r][e] == wait) {
-            std::fill(wLoc.begin(), wLoc.end(), val);
-            fem::scatterInsertElem(rm, e, wLoc.data(), 1, next[r],
-                                   written[r]);
-            counter[r][e] = 0;
-          } else {
-            ++counter[r][e];
-          }
-        }
-        mesh.comm().chargeWork(r,
-                               fem::matvecWorkPerElem<DIM>(1) * rm.nElems());
-      }
-      mesh.insertConsistent(next, written, 1);  // GhostWrite(INSERT) + read
-      cur = std::move(next);
-    }
-    return cur;
-  }
 
   if (numSteps <= 0) return vec;
   Field cur = vec;
@@ -258,7 +219,7 @@ Field erodeDilate(const Mesh<DIM>& mesh, const Field& vec, Stage stage,
         decide(0, rm.nElems());
       }
       // Scatter phase, sequentially in element order (INSERT of one
-      // constant — identical to the interleaved baseline loop).
+      // constant — identical to deciding and writing interleaved).
       std::vector<Real> wLoc(kC, val);
       for (std::size_t el = 0; el < rm.nElems(); ++el)
         if (act[r][el])
@@ -314,7 +275,7 @@ ElemField elementalCahn(const Mesh<DIM>& mesh, const Field& bwOriginal,
 template <int DIM>
 ElemField erodeDilateCahn(const Mesh<DIM>& mesh, const ElemField& cn, Level bl,
                           Real cnFine, Real cnCoarse, int erodeSteps,
-                          int extraDilateSteps, bool fastPath = true) {
+                          int extraDilateSteps) {
   constexpr int kC = kNumChildren<DIM>;
   const int p = mesh.nRanks();
   // Elemental -> nodal marker.
@@ -332,10 +293,9 @@ ElemField erodeDilateCahn(const Mesh<DIM>& mesh, const ElemField& cn, Level bl,
   });
   mesh.insertConsistent(marker, written, 1);
 
-  marker = erodeDilate(mesh, marker, Stage::kErosion, erodeSteps, bl,
-                       fastPath);
+  marker = erodeDilate(mesh, marker, Stage::kErosion, erodeSteps, bl);
   marker = erodeDilate(mesh, marker, Stage::kDilation,
-                       erodeSteps + extraDilateSteps, bl, fastPath);
+                       erodeSteps + extraDilateSteps, bl);
 
   // Nodal -> elemental: any +1 node keeps / pads the reduced Cn.
   ElemField out(p);
@@ -369,14 +329,12 @@ template <int DIM>
 ElemField identifyLocalCahn(const Mesh<DIM>& mesh, const Field& phi, Level bl,
                             const IdentifyParams& p = {}) {
   Field bw = threshold(mesh, phi, p.delta, p.immersedNegative);
-  Field eroded =
-      erodeDilate(mesh, bw, Stage::kErosion, p.erodeSteps, bl, p.fastPath);
+  Field eroded = erodeDilate(mesh, bw, Stage::kErosion, p.erodeSteps, bl);
   Field dilated = erodeDilate(mesh, eroded, Stage::kDilation,
-                              p.erodeSteps + p.extraDilateSteps, bl,
-                              p.fastPath);
+                              p.erodeSteps + p.extraDilateSteps, bl);
   ElemField cn = elementalCahn(mesh, bw, dilated, p.cnFine, p.cnCoarse);
   return erodeDilateCahn(mesh, cn, bl, p.cnFine, p.cnCoarse, p.cnErodeSteps,
-                         p.cnExtraDilateSteps, p.fastPath);
+                         p.cnExtraDilateSteps);
 }
 
 /// Multi-level extension (paper Sec II-B3 closing remark): each stage k has

@@ -4,8 +4,8 @@
 #
 # 1. Full test suite under PT_NUM_THREADS=4: every suite must pass with the
 #    pool enabled, and the bitwise-identity tests in test_ksp_threading and
-#    test_remesh_fastpath compare threaded results against serial ones
-#    directly.
+#    test_remesh_fastpath compare threaded results against serial ones and
+#    against their in-test reference loops directly.
 # 2. The checkpoint/restart and distributed-invariant gate: the full suite
 #    again under PT_VALIDATE=1, so every remesh and restart in every test
 #    runs the tree/mesh/field invariant validator (DESIGN.md §10).
@@ -15,8 +15,9 @@
 #    the threaded identify/mesh-build loops through the pool), also at
 #    PT_NUM_THREADS=4.
 # 4. The remesh fast-path suite once more under tsan with PT_VALIDATE=1,
-#    so the no-op early exits and incremental rebuilds are invariant-checked
-#    while racing the pool.
+#    so the no-op early exits, incremental rebuilds and the cold-restore
+#    oracle's checkpoint restores are invariant-checked while racing the
+#    pool.
 # 5. The gmg stage (DESIGN.md §13): the V-cycle preconditioner suite
 #    serial, with the pool at 4 threads, under tsan at 4 threads, and with
 #    PT_VALIDATE=1 (every hierarchy build runs the mesh validator on each
@@ -48,6 +49,11 @@
 #    read-only cache and job bookkeeping race the pool there), and with
 #    PT_VALIDATE=1 (every job's remeshes and restores run the invariant
 #    validator).
+# 11. The profile stage (DESIGN.md §8, §12): the `profile` preset compiles
+#    the PT_MATVEC_TIMERS phase timers in, and the telemetry and overlap
+#    suites run their timer-only tests there (phase laps recorded through
+#    a MatvecPhaseScope under a threaded pool, and routed into the solver's
+#    own telemetry).
 #
 # Usage: ./tools/run_threaded_checks.sh [extra ctest args]
 set -euo pipefail
@@ -131,5 +137,10 @@ ctest --preset release-threads -R 'test_farm$' "$@"
 cmake --build --preset tsan --target test_farm -- -j"$(nproc)"
 ctest --preset tsan -R 'test_farm$' "$@"
 PT_VALIDATE=1 ctest --preset release -R 'test_farm$' "$@"
+
+echo "== profile: PT_MATVEC_TIMERS telemetry and overlap suites =="
+cmake --preset profile >/dev/null
+cmake --build --preset profile --target test_obs test_overlap -- -j"$(nproc)"
+ctest --preset profile -R 'test_(obs|overlap)$' "$@"
 
 echo "threaded checks passed"
