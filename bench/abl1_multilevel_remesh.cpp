@@ -9,10 +9,10 @@
 #include "amr/coarsen.hpp"
 #include "amr/remesh.hpp"
 #include "amr/refine.hpp"
+#include "obs/phase.hpp"
 #include "octree/tree.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 
 using namespace pt;
 
@@ -20,11 +20,12 @@ namespace {
 
 template <typename F>
 double timeIt(F&& f, int reps = 5) {
-  Timer t;
+  obs::Phase t;
   f();  // warm-up (also produces the result for validation)
-  t.start();
-  for (int i = 0; i < reps; ++i) f();
-  t.stop();
+  {
+    obs::ScopedPhase lap(t);
+    for (int i = 0; i < reps; ++i) f();
+  }
   return t.seconds() / reps;
 }
 
@@ -120,31 +121,31 @@ int main() {
       };
       const Level target = Level(5 + jump);
       // Multi-level: one shot.
-      Timer tm;
+      obs::Phase tm;
       long collsMulti = 0;
       {
         sim::SimComm comm(8, sim::Machine::frontera());
         auto dt = DistTree<2>::fromGlobal(comm, uniformTree<2>(5));
         (void)remesh(dt, wantFor(dt, Level(5)));  // warm-up allocators
         comm.stats() = {};
-        tm.start();
+        obs::ScopedPhase lap(tm);
         auto out = remesh(dt, wantFor(dt, target));
-        tm.stop();
+        lap.stop();
         collsMulti = comm.stats().collectives;
         (void)out;
       }
       // Level-by-level: a full remesh round per level.
-      Timer tl;
+      obs::Phase tl;
       long collsLbl = 0;
       {
         sim::SimComm comm(8, sim::Machine::frontera());
         auto dt = DistTree<2>::fromGlobal(comm, uniformTree<2>(5));
         (void)remesh(dt, wantFor(dt, Level(5)));
         comm.stats() = {};
-        tl.start();
+        obs::ScopedPhase lap(tl);
         for (Level step = 6; step <= target; ++step)
           dt = remesh(dt, wantFor(dt, step));
-        tl.stop();
+        lap.stop();
         collsLbl = comm.stats().collectives;
       }
       tp.addRow(jump, tm.seconds() * 1e3, collsMulti, tl.seconds() * 1e3,

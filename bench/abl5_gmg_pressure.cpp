@@ -20,9 +20,9 @@
 #include "la/gmg.hpp"
 #include "la/ksp.hpp"
 #include "la/pc.hpp"
+#include "obs/phase.hpp"
 #include "octree/balance.hpp"
 #include "support/csv.hpp"
-#include "support/timer.hpp"
 
 using namespace pt;
 
@@ -98,17 +98,17 @@ int main() {
 
       la::LinOp<Field> Mj = la::makeJacobi(mesh, 1, ops0.diag);
       Field xj = mesh.makeField();
-      Timer tj;
-      tj.start();
+      obs::Phase tj;
+      obs::ScopedPhase lapJ(tj);
       auto resJ = la::gmres(S, ops0.op, b, xj, opt, &Mj);
-      tj.stop();
+      lapJ.stop();
 
       la::LinOp<Field> Mg = gmg.preconditioner();
       Field xg = mesh.makeField();
-      Timer tg;
-      tg.start();
+      obs::Phase tg;
+      obs::ScopedPhase lapG(tg);
       auto resG = la::gmres(S, ops0.op, b, xg, opt, &Mg);
-      tg.stop();
+      lapG.stop();
 
       t.addRow(int(L), mesh.globalNodeCount(),
                P.rhoPlus / rhoMinus, resJ.iterations, tj.seconds(),

@@ -18,9 +18,9 @@
 
 #include "fem/matvec.hpp"
 #include "mesh/mesh.hpp"
+#include "obs/phase.hpp"
 #include "octree/balance.hpp"
 #include "sim/machine.hpp"
-#include "support/timer.hpp"
 
 namespace pt::bench {
 
@@ -58,9 +58,9 @@ inline double measureMatvecPerElem3d() {
     v[0] = p[0] * p[1] + p[2];
   });
   fem::massMatvec(mesh, x, y);  // warm-up
-  Timer t;
+  obs::Phase t;
   const int reps = 10;
-  t.start();
+  obs::ScopedPhase lap(t);
   for (int i = 0; i < reps; ++i) {
     fem::matvec<3>(mesh, x, y, 1,
                    [](const Octant<3>& oct, const Real* in, Real* out) {
@@ -68,7 +68,7 @@ inline double measureMatvecPerElem3d() {
                      fem::applyStiffness<3>(oct.physSize(), in, out);
                    });
   }
-  t.stop();
+  lap.stop();
   return t.seconds() / (reps * double(mesh.globalElemCount()));
 }
 

@@ -187,14 +187,14 @@ int main() {
     la::LinOp<Field> A = [&ps](const Field& x, Field& y) {
       ps.matvec(x, y, 1.0, 1.0);
     };
-    la::Pc<Field> M =
+    la::LinOp<Field> M =
         fem::makePMultigridPc<DIM, P>(ps, 1.0, 1.0, gmg.preconditioner());
 
     Field b = assembleRhs(ps);
     Field u = ps.makeField();
     auto res = la::gmres(
         S, A, b, u,
-        {.rtol = 1e-10, .maxIterations = 200, .gmresRestart = 50}, M);
+        {.rtol = 1e-10, .maxIterations = 200, .gmresRestart = 50}, &M);
     const Real err = l2Error(ps, u);
 
     std::size_t nNodes = 0;

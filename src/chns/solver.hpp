@@ -36,6 +36,7 @@
 #include <memory>
 
 #include "chns/params.hpp"
+#include "chns/solve_family.hpp"
 #include "fem/bc.hpp"
 #include "fem/matvec.hpp"
 #include "intergrid/transfer.hpp"
@@ -157,8 +158,7 @@ class ChnsSolver {
   Field& velocity() { return vel_; }
   Field& pressure() { return p_; }
   localcahn::ElemField& elemCn() { return elemCn_; }
-  /// Per-phase wall-clock accumulators (thread-safe obs::PhaseSet; the name
-  /// predates the TimerSet -> obs migration and is kept for call sites).
+  /// Per-phase wall-clock accumulators (the telemetry bundle's PhaseSet).
   obs::PhaseSet& timers() { return timers_; }
   /// The full telemetry bundle: phases, metrics registry, per-rank stats.
   obs::Telemetry<sim::SimComm>& telemetry() { return *tel_; }
@@ -475,30 +475,17 @@ class ChnsSolver {
         });
   }
 
-  /// Drops every resource tied to the current (mesh, dt): pooled KSP
-  /// workspaces and cached preconditioners. Called on every mesh rebuild —
+  /// Drops every resource tied to the current (mesh, dt): each family's
+  /// pooled KSP workspace, cached preconditioners and V-cycle, and the GMG
+  /// hierarchy (geometry of the old tree). Called on every mesh rebuild —
   /// stale-shaped workspace vectors or factorizations must never survive a
-  /// remesh.
+  /// remesh. No-op remeshes return before reaching here, so the hierarchy
+  /// survives them. A fresh mesh is a fresh chance: retired families get
+  /// retried.
   void invalidateSolverCaches() {
     cacheInvalidations_->inc();
-    chWs_.clear();
-    nsWs_.clear();
-    ppWs_.clear();
-    vuWs_.clear();
-    chPc_ = nullptr;
-    nsPc_ = nullptr;
-    ppPc0_ = nullptr;
-    vuPc_ = nullptr;
-    chPcDt_ = nsPcDt_ = ppPcDt_ = -1;
-    // The Gmg objects hold level operators bound to the old meshes; the
-    // hierarchy is geometry of the old tree. Both die with it. (No-op
-    // remeshes return before reaching here, so the hierarchy survives them.)
-    chGmg_.reset();
-    nsGmg_.reset();
-    ppGmg_.reset();
+    for (SolveFamily* f : {&ch_, &ns_, &pp_, &vu_}) f->reset();
     gmgHier_.reset();
-    // A fresh mesh is a fresh chance: retired GMG families get retried.
-    chGmgRetired_ = nsGmgRetired_ = ppGmgRetired_ = false;
   }
 
   // ---- GMG preconditioning (gmgPrecond) ------------------------------------
@@ -571,6 +558,12 @@ class ChnsSolver {
     return out;
   }
 
+  /// Kernel tier for the batched engine under this solver's options:
+  /// simdKernels off pins the scalar tier (the historical engine, bitwise).
+  fem::SimdIsa kernelIsa() const {
+    return opt_.simdKernels ? fem::simdIsa() : fem::SimdIsa::kScalar;
+  }
+
   /// CH V-cycle: frozen 2x2 CH-Jacobian blocks per element, re-discretized
   /// per level from the restricted Newton iterate (phibar), local Cn, and
   /// the element-mean velocity. Advection rides on the convection-block
@@ -581,13 +574,7 @@ class ChnsSolver {
   /// BiCGStab diverge, costing more than the term buys. Rebuilt every
   /// makePc call — the Gmg is a pure function of (mesh, iterate, velocity,
   /// dt), so histories are independent of caching.
-  /// Kernel tier for the batched engine under this solver's options:
-  /// simdKernels off pins the scalar tier (the historical engine, bitwise).
-  fem::SimdIsa kernelIsa() const {
-    return opt_.simdKernels ? fem::simdIsa() : fem::SimdIsa::kScalar;
-  }
-
-  void buildChGmg(Real dt, const Field& u) {
+  la::LinOp<Field> buildChGmg(Real dt, const Field& u) {
     obs::TimedSpan at(timers_, "ch-assemble");
     const auto& hier = ensureGmgHierarchy();
     const int L = std::min(hier->numLevels(), std::max(1, opt_.gmgCh.levels));
@@ -632,13 +619,14 @@ class ChnsSolver {
                                             std::move(cK), std::move(cT),
                                             kernelIsa());
     };
-    chGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
+    auto g = std::make_shared<la::Gmg<DIM>>(*comm_, hier, factory,
                                             opt_.gmgCh, &tel_->metrics);
+    return [g](const Field& r, Field& z) { g->apply(r, z); };
   }
 
   /// NS V-cycle: rho(phi)/dt mass + 0.5 eta(phi)/Re stiffness per velocity
   /// component, Dirichlet-wrapped with each level's own boundary mask.
-  void buildNsGmg(Real dt) {
+  la::LinOp<Field> buildNsGmg(Real dt) {
     obs::TimedSpan at(timers_, "ns-assemble");
     const auto& hier = ensureGmgHierarchy();
     const int L = std::min(hier->numLevels(), std::max(1, opt_.gmgNs.levels));
@@ -681,15 +669,16 @@ class ChnsSolver {
       ops.mask = std::move(wide);
       return ops;
     };
-    nsGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
+    auto g = std::make_shared<la::Gmg<DIM>>(*comm_, hier, factory,
                                             opt_.gmgNs, &tel_->metrics);
+    return [g](const Field& r, Field& z) { g->apply(r, z); };
   }
 
   /// PP V-cycle: the paper's variable-density Poisson target. Level
   /// operators are dt/(We rho(phi)) stiffness with the restricted phi;
   /// every level carries the Euclidean nodal-mean deflation of its own
   /// node set (the operator is singular Neumann on every level).
-  void buildPpGmg(Real dt) {
+  la::LinOp<Field> buildPpGmg(Real dt) {
     obs::TimedSpan at(timers_, "pp-assemble");
     const auto& hier = ensureGmgHierarchy();
     const int L = std::min(hier->numLevels(), std::max(1, opt_.gmgPp.levels));
@@ -728,50 +717,9 @@ class ChnsSolver {
       };
       return ops;
     };
-    ppGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
+    auto g = std::make_shared<la::Gmg<DIM>>(*comm_, hier, factory,
                                             opt_.gmgPp, &tel_->metrics);
-  }
-
-  /// One guarded V-cycle apply. Returns false — leaving z unusable — when
-  /// the coarse solve raises its typed error or the cycle emits non-finite
-  /// values (e.g. a BiCGStab breakdown on a degenerate Newton state); the
-  /// caller then substitutes its pooled block-Jacobi apply. Swapping the
-  /// preconditioner mid-Krylov weakens the subspace identities the methods
-  /// assume, but the swap only ever fires in regimes where the cycle is
-  /// returning garbage — any finite SPD-ish apply beats NaNs or a thrown
-  /// step.
-  bool gmgApplyGuarded(la::Gmg<DIM>& g, const Field& r, Field& z) {
-    try {
-      g.apply(r, z);
-    } catch (const CheckError&) {
-      // GmgCoarseSolveError, or the coarse Krylov's own invariant checks
-      // tripping on a degenerate input (e.g. "not positive definite" from a
-      // NaN inner product).
-      return false;
-    }
-    return fieldFinite(z);
-  }
-
-  static bool fieldFinite(const Field& f) {
-    for (std::size_t r = 0; r < f.size(); ++r)
-      for (const Real v : f[r])
-        if (!std::isfinite(v)) return false;
-    return true;
-  }
-
-  /// Publish-time sanity bound for GMG-preconditioned solutions. A capped
-  /// Krylov loop behind a near-singular V-cycle can return astronomically
-  /// large (finite) iterates; squaring those in the next residual assembly
-  /// overflows to NaN. Physical fields in these nondimensional systems are
-  /// O(1e2) at worst, so anything beyond the cap means the solve diverged
-  /// and its result must not enter the state. The historical block-Jacobi
-  /// path never trips this (its capped solves stay bounded).
-  static constexpr Real kGmgSaneCap = 1e8;
-  static bool fieldSane(const Field& f) {
-    for (std::size_t r = 0; r < f.size(); ++r)
-      for (const Real v : f[r])
-        if (!(std::abs(v) <= kGmgSaneCap)) return false;  // catches NaN too
-    return true;
+    return [g](const Field& r, Field& z) { g->apply(r, z); };
   }
 
   Real cnOf(int r, std::size_t e) const {
@@ -1057,73 +1005,33 @@ class ChnsSolver {
           });
     };
 
+    // Matrix-free V-cycle on the frozen CH Jacobian, re-discretized per
+    // level from the current Newton iterate (lagged-Jacobian reuse: newton
+    // calls makePc once per outer iteration, matching makeJ). The diagonal
+    // approximation is state-independent, so the family caches its
+    // factorized blocks per (mesh, dt) as the fallback.
     auto makePc = [&, dt](const Field& state) -> la::LinOp<Field> {
-      if (opt_.gmgPrecond && !chGmgRetired_) {
-        // Matrix-free V-cycle on the frozen CH Jacobian, re-discretized per
-        // level from the current Newton iterate (lagged-Jacobian reuse:
-        // newton calls makePc once per outer iteration, matching makeJ).
-        // The pooled block-Jacobi below is kept warm as the graceful-
-        // degradation fallback; once an apply fails, the rest of this
-        // linear solve skips the V-cycle outright. Construction itself can
-        // fail too — a degenerate iterate can make a level's smoother
-        // blocks singular — and retires the family the same way.
-        try {
-          buildChGmg(dt, state);
-        } catch (const CheckError&) {
-          chGmgRetired_ = true;
-          gmgRetirements_->inc();
-          chGmg_.reset();
-        }
-      }
-      // The diagonal approximation is state-independent, so the factorized
-      // blocks are cached per (mesh, dt) instead of being rebuilt on every
-      // Newton iteration.
-      if (!chPc_ || chPcDt_ != dt) {
-        chPc_ = la::makeBlockJacobi(*mesh_, 2, assembleChDiag());
-        chPcDt_ = dt;
-      }
-      if (opt_.gmgPrecond && !chGmgRetired_) {
-        return [this, failed = std::make_shared<bool>(false)](const Field& r,
-                                                              Field& z) {
-          obs::TimedSpan pt(timers_, "ch-pc");
-          if (!*failed && gmgApplyGuarded(*chGmg_, r, z)) return;
-          if (!*failed) gmgPcFallbacks_->inc();
-          *failed = true;
-          chPc_(r, z);
-        };
-      }
-      return [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "ch-pc");
-        chPc_(r, z);
-      };
+      return ch_.preconditioner(
+          dt, [&] { return buildChGmg(dt, state); },
+          [&] { return la::makeBlockJacobi(*mesh_, 2, assembleChDiag()); });
     };
 
     auto res = la::newton<la::FieldSpace<DIM>>(S, U, residual, makeJ, makePc,
-                                               opt_.chNewton, &chWs_);
+                                               opt_.chNewton, &ch_.workspace());
     lastChNewton_ = res;
-    if (opt_.gmgPrecond && !chGmgRetired_ && !res.converged &&
-        res.iterations > 0 &&
-        res.totalLinearIterations >=
-            res.iterations * opt_.chNewton.linear.maxIterations) {
-      // Every inner GMRES saturated its cap: the V-cycle is not
-      // preconditioning this regime (sharp-interface spinodal states defeat
-      // the frozen coarse coefficients). Retire it until the next real
-      // remesh instead of paying for ineffective cycles.
-      chGmgRetired_ = true;
-      gmgRetirements_->inc();
-      chGmg_.reset();
-    }
-    if (opt_.gmgPrecond && !fieldSane(U)) {
+    // Every inner GMRES saturated its cap: the V-cycle is not
+    // preconditioning this regime (sharp-interface spinodal states defeat
+    // the frozen coarse coefficients). Retire it until the next real remesh
+    // instead of paying for ineffective cycles.
+    ch_.retireIf(!res.converged && res.iterations > 0 &&
+                 res.totalLinearIterations >=
+                     res.iterations * opt_.chNewton.linear.maxIterations);
+    if (!ch_.accept(U)) {
       // A degenerate preconditioned solve overflowed the iterate. Keep the
       // pre-solve phi/mu (the historical caps publish bounded garbage, never
       // NaN — downstream solves must be able to rely on that) and retire
       // the CH V-cycle for this mesh epoch.
-      gmgPcFallbacks_->inc();
-      if (!chGmgRetired_) {
-        chGmgRetired_ = true;
-        gmgRetirements_->inc();
-        chGmg_.reset();
-      }
+      ch_.retire();
       return;
     }
     // Unpack.
@@ -1338,52 +1246,19 @@ class ChnsSolver {
               }
           });
     };
-    la::LinOp<Field> M;
-    if (opt_.gmgPrecond && !nsGmgRetired_) {
-      // V-cycle on the variable-coefficient time + viscous part (the
-      // block-Jacobi diagonal above ignores rho/eta; the GMG levels do
-      // not). Construction failures retire the family for this epoch.
-      try {
-        buildNsGmg(dt);
-      } catch (const CheckError&) {
-        nsGmgRetired_ = true;
-        gmgRetirements_->inc();
-        nsGmg_.reset();
-      }
-    }
-    const bool nsUseGmg = opt_.gmgPrecond && !nsGmgRetired_;
-    if (!nsPc_ || nsPcDt_ != dt) {
-      nsPc_ = la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag());
-      nsPcDt_ = dt;
-    }
-    if (nsUseGmg) {
-      // The pooled diagonal doubles as the graceful-degradation fallback.
-      M = [this, failed = std::make_shared<bool>(false)](const Field& r,
-                                                         Field& z) {
-        obs::TimedSpan pt(timers_, "ns-pc");
-        if (!*failed && gmgApplyGuarded(*nsGmg_, r, z)) return;
-        if (!*failed) gmgPcFallbacks_->inc();
-        *failed = true;
-        nsPc_(r, z);
-      };
-    } else {
-      M = [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "ns-pc");
-        nsPc_(r, z);
-      };
-    }
+    // V-cycle on the variable-coefficient time + viscous part (the
+    // block-Jacobi diagonal above ignores rho/eta; the GMG levels do not).
+    const la::LinOp<Field> M = ns_.preconditioner(
+        dt, [&] { return buildNsGmg(dt); },
+        [&] { return la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag()); });
 
     Field vstar = vel_;  // initial guess
     fem::copyMasked(*mesh_, mask_, g, vstar, DIM);
-    lastNs_ = la::gmres(S, A, rhsBc, vstar, opt_.nsKsp, &M, &nsWs_);
-    if (nsUseGmg && !lastNs_.converged) {
-      nsGmgRetired_ = true;
-      gmgRetirements_->inc();
-      nsGmg_.reset();
-    }
-    if (opt_.gmgPrecond && !fieldSane(vstar)) {
+    lastNs_ =
+        la::gmres(S, A, rhsBc, vstar, opt_.nsKsp, &M, &ns_.workspace());
+    ns_.retireIf(!lastNs_.converged);
+    if (!ns_.accept(vstar)) {
       // Same contract as the CH guard: never publish non-finite velocity.
-      gmgPcFallbacks_->inc();
       vstar = vel_;
       fem::copyMasked(*mesh_, mask_, g, vstar, DIM);
     }
@@ -1493,44 +1368,12 @@ class ChnsSolver {
               Ae[k] = refK[k] * kscale * dt / P.We;
           });
     };
-    la::LinOp<Field> M;
-    if (opt_.gmgPrecond && !ppGmgRetired_) {
-      // V-cycle on the variable-density Poisson operator, every level
-      // deflated against its own constant nullspace. Construction failures
-      // retire the family for this epoch.
-      try {
-        buildPpGmg(dt);
-      } catch (const CheckError&) {
-        ppGmgRetired_ = true;
-        gmgRetirements_->inc();
-        ppGmg_.reset();
-      }
-    }
-    const bool ppUseGmg = opt_.gmgPrecond && !ppGmgRetired_;
-    // State-independent diagonal: assembled once per (mesh, dt). Under GMG
-    // it doubles as the graceful-degradation fallback.
-    if (!ppPc0_ || ppPcDt_ != dt) {
-      ppPc0_ = la::makeJacobi(*mesh_, 1, assemblePpDiag());
-      ppPcDt_ = dt;
-    }
-    if (ppUseGmg) {
-      M = [this, failed = std::make_shared<bool>(false)](const Field& r,
-                                                         Field& z) {
-        obs::TimedSpan pt(timers_, "pp-pc");
-        if (*failed || !gmgApplyGuarded(*ppGmg_, r, z)) {
-          if (!*failed) gmgPcFallbacks_->inc();
-          *failed = true;
-          ppPc0_(r, z);
-        }
-        projectNodalMean(z);
-      };
-    } else {
-      M = [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "pp-pc");
-        ppPc0_(r, z);
-        projectNodalMean(z);
-      };
-    }
+    // V-cycle on the variable-density Poisson operator, every level
+    // deflated against its own constant nullspace; both paths deflate z.
+    const la::LinOp<Field> M = pp_.preconditioner(
+        dt, [&] { return buildPpGmg(dt); },
+        [&] { return la::makeJacobi(*mesh_, 1, assemblePpDiag()); },
+        [this](Field& z) { projectNodalMean(z); });
     // The V-cycle (injection restriction != prolongation^T) is not
     // symmetric, so preconditioned CG theory does not apply; BiCGStab
     // carries the GMG path. The non-GMG path keeps historical CG.
@@ -1542,24 +1385,19 @@ class ChnsSolver {
     // to a non-finite iterate. Either way the pressure increment for this
     // block is skipped (dp = 0) instead of failing the step; the
     // historical gmgPrecond=off path keeps its exact throwing semantics.
+    la::KspWorkspace<Field>* ws = &pp_.workspace();
     try {
-      lastPp_ = ppUseGmg ? la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M, &ppWs_)
-                         : la::cg(S, A, rhs, dp, opt_.ppKsp, &M, &ppWs_);
+      lastPp_ = pp_.usesGmg() ? la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M, ws)
+                              : la::cg(S, A, rhs, dp, opt_.ppKsp, &M, ws);
     } catch (const CheckError&) {
       if (!opt_.gmgPrecond) throw;
-      gmgPcFallbacks_->inc();
+      pp_.countFallback();
       lastPp_ = la::KspResult{};
       for (auto& v : dp) std::fill(v.begin(), v.end(), 0.0);
     }
-    if (ppUseGmg && !lastPp_.converged) {
-      ppGmgRetired_ = true;
-      gmgRetirements_->inc();
-      ppGmg_.reset();
-    }
-    if (opt_.gmgPrecond && !fieldSane(dp)) {
-      gmgPcFallbacks_->inc();
+    pp_.retireIf(!lastPp_.converged);
+    if (!pp_.accept(dp))
       for (auto& v : dp) std::fill(v.begin(), v.end(), 0.0);
-    }
     projectZeroMean(dp);  // physical normalization: zero mass-weighted mean
     dp_ = std::move(dp);
     // p^{n+1} = p^n + dp
@@ -1582,13 +1420,10 @@ class ChnsSolver {
       obs::TimedSpan ot(timers_, "vu-op");
       fem::massMatvec(*mesh_, x, y);
     };
-    // vuDiag_ is already built once per mesh; keep the preconditioner
-    // closure (and its copy of the diagonal) across solves too.
-    if (!vuPc_) vuPc_ = la::makeJacobi(*mesh_, 1, vuDiag_);
-    la::LinOp<Field> pc = [this](const Field& r, Field& z) {
-      obs::TimedSpan pt(timers_, "vu-pc");
-      vuPc_(r, z);
-    };
+    // vuDiag_ is already built once per mesh; the family keeps the
+    // preconditioner (and its copy of the diagonal) across solves too.
+    const la::LinOp<Field> pc = vu_.preconditioner(
+        dt, nullptr, [&] { return la::makeJacobi(*mesh_, 1, vuDiag_); });
 
     lastVuIterations_ = 0;
     for (int a = 0; a < DIM; ++a) {
@@ -1626,7 +1461,8 @@ class ChnsSolver {
       for (int r = 0; r < mesh_->nRanks(); ++r)
         for (std::size_t i = 0; i < mesh_->rank(r).nNodes(); ++i)
           va[r][i] = velStar_[r][i * DIM + a];
-      auto res = la::cg(S, Mop, rhs, va, opt_.vuKsp, &pc, &vuWs_);
+      auto res =
+          la::cg(S, Mop, rhs, va, opt_.vuKsp, &pc, &vu_.workspace());
       lastVuIterations_ += res.iterations;
       for (int r = 0; r < mesh_->nRanks(); ++r)
         for (std::size_t i = 0; i < mesh_->rank(r).nNodes(); ++i)
@@ -1671,12 +1507,13 @@ class ChnsSolver {
   std::function<void(ChnsSolver&)> postStepHook_;
   int postStepEvery_ = 1;
 
-  // Pooled solver resources: Krylov workspaces kept warm across time steps
-  // and preconditioners cached per (mesh, dt). All invalidated by
-  // invalidateSolverCaches() on remesh.
-  la::KspWorkspace<Field> chWs_, nsWs_, ppWs_, vuWs_;
-  la::LinOp<Field> chPc_, nsPc_, ppPc0_, vuPc_;
-  Real chPcDt_ = -1, nsPcDt_ = -1, ppPcDt_ = -1;
+  // The four solve families: pooled Krylov workspaces kept warm across
+  // time steps, preconditioners cached per (mesh, dt), and the GMG
+  // degradation policy. All reset by invalidateSolverCaches() on remesh.
+  SolveFamily ch_{opt_.gmgPrecond, timers_, tel_->metrics, "ch-pc"};
+  SolveFamily ns_{opt_.gmgPrecond, timers_, tel_->metrics, "ns-pc"};
+  SolveFamily pp_{opt_.gmgPrecond, timers_, tel_->metrics, "pp-pc"};
+  SolveFamily vu_{false, timers_, tel_->metrics, "vu-pc"};
   std::unique_ptr<la::FieldSpace<DIM>> scalarSpace_;
   // Frozen-coefficient caches for the matrix-free operators: per-element,
   // per-quad-point linearization state, rebuilt at each operator
@@ -1688,16 +1525,8 @@ class ChnsSolver {
   // touches solution state, so caching it is bitwise-neutral; dropped by
   // invalidateSolverCaches() on every real remesh.
   std::shared_ptr<const la::GmgHierarchy<DIM>> gmgHier_;
-  std::unique_ptr<la::Gmg<DIM>> chGmg_, nsGmg_, ppGmg_;
   obs::Counter* gmgHierBuilds_ =
       &tel_->metrics.counter("gmgHierarchyBuilds");
-  // Graceful GMG degradation (see the gmgPrecond doc): per-family retire
-  // latches, reset on every real remesh.
-  bool chGmgRetired_ = false, nsGmgRetired_ = false, ppGmgRetired_ = false;
-  obs::Counter* gmgPcFallbacks_ =
-      &tel_->metrics.counter("gmgPcFallbacks");  ///< guarded-apply rescues
-  obs::Counter* gmgRetirements_ = &tel_->metrics.counter(
-      "gmgRetirements");  ///< families retired for a mesh epoch
 };
 
 }  // namespace pt::chns

@@ -39,12 +39,11 @@ namespace pt::fem {
 
 // ---- Per-phase instrumentation (compile-time opt-in) -----------------------
 // With PT_MATVEC_TIMERS defined, the engine accumulates wall-clock per phase
-// (gather / kernel / scatter / accumulate) into an obs::PhaseSet. The old
-// TimerSet-based version had to runtime-gate to serial pools because timers
-// carried shared start/stop state; Phase accumulators are atomic and the lap
-// clock lives on each thread's stack (obs::PhaseLap), so the macros are
-// active for ANY pool size — threaded runs record per-phase times too,
-// including from inside ThreadPool workers.
+// (gather / kernel / scatter / accumulate) into an obs::PhaseSet. Phase
+// accumulators are atomic and the lap clock lives on each thread's stack
+// (obs::PhaseLap), so the macros are active for ANY pool size — threaded
+// runs record per-phase times too, including from inside ThreadPool
+// workers.
 //
 // Multi-tenancy (DESIGN.md §14): callers that own an obs::Telemetry (the
 // CHNS solver, one per farm job) install their PhaseSet with a

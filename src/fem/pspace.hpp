@@ -431,31 +431,17 @@ class PSpaceLa {
 /// mesh-independently (see examples/poisson_p2.cpp; plain CG floors near
 /// rel res ~1e-8).
 template <int DIM, int P>
-la::Pc<Field> makePMultigridPc(const PSpace<DIM, P>& ps, Real massCoef,
-                               Real stiffCoef, la::Pc<Field> coarsePc,
-                               Real omega = 0.6,
-                               SimdIsa isa = simdIsa()) {
+la::LinOp<Field> makePMultigridPc(const PSpace<DIM, P>& ps, Real massCoef,
+                                  Real stiffCoef, la::LinOp<Field> coarsePc,
+                                  Real omega = 0.6,
+                                  SimdIsa isa = simdIsa()) {
   struct State {
     Field diag, Az, rc, zc, corr;
-    bool ready = false;
   };
   auto st = std::make_shared<State>();
-  auto setup = [st, &ps, massCoef, stiffCoef, coarsePc]() {
-    if (!st->ready) {
-      st->diag = ps.diagonal(massCoef, stiffCoef);
-      st->ready = true;
-    }
-    coarsePc.prepare();
-  };
-  la::Pc<Field> pc;
-  pc.setup = setup;
-  pc.invalidate = [st, coarsePc]() {
-    st->ready = false;
-    coarsePc.drop();
-  };
-  pc.apply = [st, &ps, massCoef, stiffCoef, coarsePc, omega, isa,
-              setup](const Field& r, Field& z) {
-    if (!st->ready) setup();
+  return [st, &ps, massCoef, stiffCoef, coarsePc = std::move(coarsePc), omega,
+          isa](const Field& r, Field& z) {
+    if (st->diag.empty()) st->diag = ps.diagonal(massCoef, stiffCoef);
     const int p = ps.nRanks();
     if (static_cast<int>(z.size()) != p) z.resize(p);
     // Pre-smooth from zero: z = omega * D^-1 r.
@@ -470,7 +456,7 @@ la::Pc<Field> makePMultigridPc(const PSpace<DIM, P>& ps, Real massCoef,
       for (std::size_t i = 0; i < r[rk].size(); ++i)
         st->Az[rk][i] = r[rk][i] - st->Az[rk][i];
     ps.restrictTr(st->Az, st->rc);
-    coarsePc.apply(st->rc, st->zc);
+    coarsePc(st->rc, st->zc);
     ps.prolongate(st->zc, st->corr);
     for (int rk = 0; rk < p; ++rk)
       for (std::size_t i = 0; i < z[rk].size(); ++i)
@@ -481,7 +467,6 @@ la::Pc<Field> makePMultigridPc(const PSpace<DIM, P>& ps, Real massCoef,
       for (std::size_t i = 0; i < z[rk].size(); ++i)
         z[rk][i] += omega * (r[rk][i] - st->Az[rk][i]) / st->diag[rk][i];
   };
-  return pc;
 }
 
 }  // namespace pt::fem

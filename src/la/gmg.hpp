@@ -344,7 +344,8 @@ class Gmg {
     return hier_;
   }
 
-  /// Largest-eigenvalue estimate of D^-1 A at level l (after setup).
+  /// Largest-eigenvalue estimate of D^-1 A at level l (after the first
+  /// apply).
   Real eigUpper(int l) const { return eig_.empty() ? 0.0 : eig_[l]; }
 
   /// One V-cycle z = M(r) on the fine level. z is conformed and zeroed.
@@ -360,9 +361,15 @@ class Gmg {
     vcycle(0, r, z);
   }
 
+  /// The solver-facing preconditioner handle. Captures `this`; the Gmg must
+  /// outlive every use of the returned operator.
+  LinOp<Field> preconditioner() {
+    return [this](const Field& r, Field& z) { apply(r, z); };
+  }
+
+ private:
   /// Runs the deferred per-level eigenvalue estimation (Chebyshev only).
-  /// Idempotent; the KSP drivers call this through Pc::prepare() before the
-  /// first apply of a solve.
+  /// Idempotent; apply() calls it before every V-cycle.
   void setup() {
     if (opt_.smoother != GmgSmoother::kChebyshev || !eig_.empty()) return;
     PT_SPAN("gmg-eig");
@@ -371,17 +378,6 @@ class Gmg {
       eig_[l] = estimateEigUpper(static_cast<int>(l));
   }
 
-  /// The solver-facing preconditioner handle. Captures `this`; the Gmg must
-  /// outlive every use of the returned Pc.
-  Pc<Field> preconditioner() {
-    Pc<Field> pc;
-    pc.apply = [this](const Field& r, Field& z) { apply(r, z); };
-    pc.setup = [this]() { setup(); };
-    pc.invalidate = [this]() { eig_.clear(); };
-    return pc;
-  }
-
- private:
   // ---- serial vector helpers (bitwise thread-count invariant) -----------
 
   static void subInto(const Field& a, const Field& b, Field& out) {

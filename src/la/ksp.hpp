@@ -327,36 +327,4 @@ KspResult gmres(const Space& S, const LinOp<typename Space::V>& A,
   return res;
 }
 
-// Pc-taking overloads: one call shape for every preconditioner (block
-// Jacobi, factored block Jacobi, GMG). setup() runs exactly once before the
-// solver's first apply; the iteration itself is byte-for-byte the LinOp
-// path above (the Pc's apply member is passed through unchanged).
-
-template <typename Space>
-KspResult cg(const Space& S, const LinOp<typename Space::V>& A,
-             const typename Space::V& b, typename Space::V& x,
-             const KspOptions& opt, const Pc<typename Space::V>& M,
-             KspWorkspace<typename Space::V>* ws = nullptr) {
-  M.prepare();
-  return cg(S, A, b, x, opt, M.apply ? &M.apply : nullptr, ws);
-}
-
-template <typename Space>
-KspResult bicgstab(const Space& S, const LinOp<typename Space::V>& A,
-                   const typename Space::V& b, typename Space::V& x,
-                   const KspOptions& opt, const Pc<typename Space::V>& M,
-                   KspWorkspace<typename Space::V>* ws = nullptr) {
-  M.prepare();
-  return bicgstab(S, A, b, x, opt, M.apply ? &M.apply : nullptr, ws);
-}
-
-template <typename Space>
-KspResult gmres(const Space& S, const LinOp<typename Space::V>& A,
-                const typename Space::V& b, typename Space::V& x,
-                const KspOptions& opt, const Pc<typename Space::V>& M,
-                KspWorkspace<typename Space::V>* ws = nullptr) {
-  M.prepare();
-  return gmres(S, A, b, x, opt, M.apply ? &M.apply : nullptr, ws);
-}
-
 }  // namespace pt::la

@@ -304,37 +304,10 @@ class FieldSpace {
   mutable std::chrono::steady_clock::time_point vecBegin_{};
 };
 
-/// Linear operator and preconditioner signature: y = A(x).
+/// Linear operator and preconditioner signature: y = A(x). It is the only
+/// preconditioner shape: one that needs setup (e.g. la::Gmg's eigenvalue
+/// bounds) runs it inside its first apply.
 template <typename V>
 using LinOp = std::function<void(const V&, V&)>;
-
-/// The one preconditioner shape every solver-side preconditioner — point
-/// Jacobi, (factored) block Jacobi, GMG — is carried as: `apply` is the
-/// action z = M(r); `setup` (optional) runs once before a solve's first
-/// apply (lazy factorization, eigenvalue-bound estimation); `invalidate`
-/// (optional) drops cached state tied to the current mesh/coefficients.
-/// A Pc converts implicitly from a bare LinOp, so existing call sites and
-/// apply-only preconditioners need no adapter; the KSP drivers accept a Pc
-/// directly and call setup() exactly once per solve.
-template <typename V>
-struct Pc {
-  LinOp<V> apply;
-  std::function<void()> setup;
-  std::function<void()> invalidate;
-
-  Pc() = default;
-  /*implicit*/ Pc(LinOp<V> a) : apply(std::move(a)) {}
-
-  void operator()(const V& r, V& z) const { apply(r, z); }
-  explicit operator bool() const { return static_cast<bool>(apply); }
-  /// Runs setup once (no-op when the preconditioner has none).
-  void prepare() const {
-    if (setup) setup();
-  }
-  /// Drops cached state; the apply itself stays valid.
-  void drop() const {
-    if (invalidate) invalidate();
-  }
-};
 
 }  // namespace pt::la

@@ -1,10 +1,7 @@
-// Thread-safe phase accumulators — the replacement for the old
-// support/timer.hpp TimerSet (DESIGN.md §12).
+// Thread-safe phase accumulators: the project's one wall-clock timer
+// (DESIGN.md §12).
 //
-// The old TimerSet kept per-timer begin/running state inside the shared
-// Timer object, so two threads start/stopping the same named timer raced on
-// it (the PR-2 review had to gate PT_MATVEC_TIMERS to serial pools). A
-// Phase stores NO in-flight state: the start timestamp lives on the
+// A Phase stores NO in-flight state: the start timestamp lives on the
 // measuring scope's stack (ScopedPhase / PhaseLap), and completion adds
 // atomically. Any number of threads can time the same Phase concurrently
 // and the totals are exact.
@@ -82,8 +79,8 @@ class PhaseLap {
   Clock::time_point begin_{};
 };
 
-/// Copyable snapshot of one phase, API-compatible with the old Timer's
-/// reporting surface (`for (auto& [name, t] : phases.all()) t.seconds()`).
+/// Copyable snapshot of one phase
+/// (`for (auto& [name, t] : phases.all()) t.seconds()`).
 class PhaseStat {
  public:
   PhaseStat() = default;
@@ -96,9 +93,9 @@ class PhaseStat {
   long calls_ = 0;
 };
 
-/// Named registry of phases — the drop-in TimerSet replacement. operator[]
-/// is mutex-guarded (creation only; updates on the returned Phase are
-/// lock-free) and references stay valid for the set's lifetime.
+/// Named registry of phases. operator[] is mutex-guarded (creation only;
+/// updates on the returned Phase are lock-free) and references stay valid
+/// for the set's lifetime.
 class PhaseSet {
  public:
   Phase& operator[](const std::string& name) {

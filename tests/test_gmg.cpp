@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <deque>
+#include <set>
 
 #include "apps/fields.hpp"
 #include "chns/params.hpp"
+#include "chns/solve_family.hpp"
 #include "chns/solver.hpp"
 #include "fem/bc.hpp"
 #include "fem/matvec.hpp"
@@ -124,9 +126,9 @@ TEST(Gmg, PreconditionerBeatsJacobiIterationCount) {
   Field xj = mesh.makeField();
   auto resJ = la::gmres(S, A, fw, xj, opt, &Mj);
   // GMG-preconditioned GMRES.
-  la::Pc<Field> Mg = gmg.preconditioner();
+  la::LinOp<Field> Mg = gmg.preconditioner();
   Field xg = mesh.makeField();
-  auto resG = la::gmres(S, A, fw, xg, opt, Mg);
+  auto resG = la::gmres(S, A, fw, xg, opt, &Mg);
   EXPECT_TRUE(resJ.converged);
   EXPECT_TRUE(resG.converged);
   EXPECT_LT(resG.iterations, resJ.iterations / 3);  // level-independent-ish
@@ -196,10 +198,10 @@ TEST(Gmg, VariableCoefficientPoissonOnAdaptiveMesh) {
     v[0] = p[0] - p[1];
   });
   fem::zeroMasked(mesh, masks[0], b);
-  la::Pc<Field> Mg = gmg.preconditioner();
+  la::LinOp<Field> Mg = gmg.preconditioner();
   Field x = mesh.makeField();
   auto res = la::gmres(
-      S, ops0.op, b, x, {.rtol = 1e-8, .maxIterations = 300}, Mg);
+      S, ops0.op, b, x, {.rtol = 1e-8, .maxIterations = 300}, &Mg);
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.iterations, 40);  // strong preconditioning despite 10x jump
 }
@@ -274,10 +276,10 @@ TEST(Gmg, VariableCoefficientPoisson3DWithHangingNodes) {
     v[0] = p[0] - p[1] + 0.5 * p[2];
   });
   fem::zeroMasked(mesh, masks[0], b);
-  la::Pc<Field> Mg = gmg.preconditioner();
+  la::LinOp<Field> Mg = gmg.preconditioner();
   Field x = mesh.makeField();
   auto res = la::gmres(
-      S, ops0.op, b, x, {.rtol = 1e-8, .maxIterations = 300}, Mg);
+      S, ops0.op, b, x, {.rtol = 1e-8, .maxIterations = 300}, &Mg);
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.iterations, 40);
 }
@@ -355,10 +357,10 @@ TEST(Gmg, ChebyshevVsJacobiIterationComparison) {
       v[0] = p[0] - p[1];
     });
     fem::zeroMasked(mesh, masks[0], b);
-    la::Pc<Field> M = gmg.preconditioner();
+    la::LinOp<Field> M = gmg.preconditioner();
     x = mesh.makeField();
     return la::gmres(S, ops0.op, b, x,
-                     {.rtol = 1e-9, .maxIterations = 300}, M);
+                     {.rtol = 1e-9, .maxIterations = 300}, &M);
   };
   Field xj, xc;
   auto resJ = runSmoother(la::GmgSmoother::kJacobi, xj);
@@ -447,6 +449,182 @@ TEST(Gmg, CoarseSolveFailureThrowsTypedError) {
   EXPECT_GE(reg.counter("gmg.coarse_fail").value(), 1);
 }
 
+// ---- chns::SolveFamily: the degradation policy, with fake V-cycles ---------
+
+/// One family on its own phase set and registry, with a counting identity
+/// fallback and fake V-cycles that fill z with a fixed value or throw.
+struct FamilyRig {
+  obs::PhaseSet phases;
+  obs::Registry metrics;
+  chns::SolveFamily fam;
+  int vcycleBuilds = 0, vcycleApplies = 0;
+  int fallbackBuilds = 0, fallbackApplies = 0;
+
+  explicit FamilyRig(bool gmg = true) : fam(gmg, phases, metrics, "xx-pc") {}
+
+  long long fallbacks() { return metrics.counter("gmgPcFallbacks").value(); }
+  long long retirements() {
+    return metrics.counter("gmgRetirements").value();
+  }
+
+  std::function<la::LinOp<Field>()> vcycle(Real value, bool throws = false) {
+    return [this, value, throws] {
+      ++vcycleBuilds;
+      return la::LinOp<Field>([this, value, throws](const Field& r,
+                                                    Field& z) {
+        ++vcycleApplies;
+        if (throws) throw CheckError("fake coarse solve failure");
+        z = r;
+        for (auto& part : z) std::fill(part.begin(), part.end(), value);
+      });
+    };
+  }
+
+  la::LinOp<Field> pc(Real dt, const std::function<la::LinOp<Field>()>& build,
+                      std::function<void(Field&)> post = nullptr) {
+    return fam.preconditioner(
+        dt, build,
+        [this] {
+          ++fallbackBuilds;
+          return la::LinOp<Field>([this](const Field& r, Field& z) {
+            ++fallbackApplies;
+            z = r;
+          });
+        },
+        std::move(post));
+  }
+};
+
+const Field kResidual{{1.0, 2.0}, {3.0}};
+
+TEST(SolveFamily, BuildFailureRetiresAndAppliesFallback) {
+  FamilyRig rig;
+  la::LinOp<Field> M =
+      rig.pc(0.1, []() -> la::LinOp<Field> { throw CheckError("singular"); });
+  EXPECT_FALSE(rig.fam.usesGmg());
+  EXPECT_EQ(rig.retirements(), 1);
+  EXPECT_EQ(rig.fallbacks(), 0);
+  Field z;
+  M(kResidual, z);
+  EXPECT_EQ(z, kResidual);
+  EXPECT_EQ(rig.fallbackApplies, 1);
+  // A retired family does not try the V-cycle again.
+  rig.pc(0.1, rig.vcycle(5.0));
+  EXPECT_EQ(rig.vcycleBuilds, 0);
+}
+
+TEST(SolveFamily, FailedApplyFallsBackForTheRestOfThePreconditioner) {
+  FamilyRig rig;
+  la::LinOp<Field> M = rig.pc(0.1, rig.vcycle(5.0, /*throws=*/true));
+  Field z;
+  M(kResidual, z);
+  EXPECT_EQ(z, kResidual);
+  EXPECT_EQ(rig.fallbacks(), 1);
+  M(kResidual, z);
+  M(kResidual, z);
+  EXPECT_EQ(rig.vcycleApplies, 1) << "later applies retried the V-cycle";
+  EXPECT_EQ(rig.fallbackApplies, 3);
+  EXPECT_EQ(rig.fallbacks(), 1);
+  EXPECT_EQ(rig.retirements(), 0);
+  EXPECT_TRUE(rig.fam.usesGmg());
+  // A new preconditioner tries its fresh V-cycle again.
+  la::LinOp<Field> M2 = rig.pc(0.1, rig.vcycle(5.0));
+  M2(kResidual, z);
+  EXPECT_EQ(rig.vcycleApplies, 2);
+  EXPECT_EQ(z, (Field{{5.0, 5.0}, {5.0}}));
+}
+
+TEST(SolveFamily, NonFiniteApplyFallsBack) {
+  FamilyRig rig;
+  la::LinOp<Field> M = rig.pc(0.1, rig.vcycle(std::nan("")));
+  Field z;
+  M(kResidual, z);
+  EXPECT_EQ(z, kResidual);
+  M(kResidual, z);
+  EXPECT_EQ(rig.vcycleApplies, 1);
+  EXPECT_EQ(rig.fallbacks(), 1);
+  EXPECT_EQ(rig.retirements(), 0);
+}
+
+TEST(SolveFamily, FallbackCachedPerDt) {
+  for (const bool gmg : {true, false}) {
+    FamilyRig rig(gmg);
+    rig.pc(0.1, rig.vcycle(5.0));
+    rig.pc(0.1, rig.vcycle(5.0));
+    EXPECT_EQ(rig.fallbackBuilds, 1);
+    rig.pc(0.05, rig.vcycle(5.0));
+    EXPECT_EQ(rig.fallbackBuilds, 2);
+    EXPECT_EQ(rig.vcycleBuilds, gmg ? 3 : 0);
+  }
+}
+
+TEST(SolveFamily, PostRunsOnEveryPath) {
+  int posts = 0;
+  auto post = [&](Field& z) {
+    ++posts;
+    z[1][0] = -1.0;
+  };
+  FamilyRig rig;
+  Field z;
+  rig.pc(0.1, rig.vcycle(5.0), post)(kResidual, z);  // V-cycle
+  EXPECT_EQ(z, (Field{{5.0, 5.0}, {-1.0}}));
+  rig.pc(0.1, rig.vcycle(5.0, true), post)(kResidual, z);  // fallback
+  EXPECT_EQ(z, (Field{{1.0, 2.0}, {-1.0}}));
+  FamilyRig off(false);
+  off.pc(0.1, nullptr, post)(kResidual, z);  // GMG off
+  EXPECT_EQ(z, (Field{{1.0, 2.0}, {-1.0}}));
+  EXPECT_EQ(posts, 3);
+}
+
+TEST(SolveFamily, AcceptRejectsInsaneIterates) {
+  FamilyRig rig;
+  EXPECT_FALSE(rig.fam.accept(Field{{1.0, 1e9}}));
+  EXPECT_EQ(rig.fallbacks(), 1);
+  EXPECT_FALSE(rig.fam.accept(Field{{std::nan("")}, {0.0}}));
+  EXPECT_EQ(rig.fallbacks(), 2);
+  EXPECT_TRUE(rig.fam.accept(Field{{1e2, -1e2}}));
+  EXPECT_EQ(rig.fallbacks(), 2);
+  EXPECT_EQ(rig.retirements(), 0);
+  FamilyRig off(false);
+  EXPECT_TRUE(off.fam.accept(Field{{1e9, std::nan("")}}));
+  EXPECT_EQ(off.fallbacks(), 0);
+}
+
+TEST(SolveFamily, RetireIsIdempotentAndResetUnretires) {
+  FamilyRig rig;
+  rig.fam.retireIf(false);
+  EXPECT_TRUE(rig.fam.usesGmg());
+  rig.fam.retireIf(true);
+  rig.fam.retire();
+  EXPECT_FALSE(rig.fam.usesGmg());
+  EXPECT_EQ(rig.retirements(), 1);
+  rig.fam.workspace().work.resize(2);
+  rig.fam.reset();
+  EXPECT_TRUE(rig.fam.usesGmg());
+  EXPECT_TRUE(rig.fam.workspace().work.empty());
+  rig.pc(0.1, rig.vcycle(5.0));
+  EXPECT_EQ(rig.vcycleBuilds, 1);
+  EXPECT_EQ(rig.fallbackBuilds, 1);
+  rig.fam.reset();
+  rig.pc(0.1, rig.vcycle(5.0));
+  EXPECT_EQ(rig.fallbackBuilds, 2) << "reset kept the (mesh, dt) fallback";
+  // With GMG off there is nothing to retire.
+  FamilyRig off(false);
+  off.fam.retire();
+  EXPECT_EQ(off.retirements(), 0);
+}
+
+TEST(SolveFamily, AppliesTimedUnderTheFamilyPhase) {
+  FamilyRig rig;
+  Field z;
+  la::LinOp<Field> M = rig.pc(0.1, rig.vcycle(5.0, true));
+  M(kResidual, z);
+  M(kResidual, z);
+  rig.pc(0.1, rig.vcycle(5.0))(kResidual, z);
+  EXPECT_EQ(rig.phases["xx-pc"].calls(), 3);
+  EXPECT_EQ(rig.phases.all().size(), 1u);
+}
+
 // ---- CHNS hierarchy caching -------------------------------------------------
 
 TEST(GmgChns, HierarchyPreservedAcrossNoopRemeshes) {
@@ -476,8 +654,8 @@ TEST(GmgChns, HierarchyPreservedAcrossNoopRemeshes) {
   EXPECT_EQ(builds(), 1) << "no-op remesh dropped the GMG hierarchy";
 }
 
-TEST(GmgChns, HierarchyRebuiltOnRealRemesh) {
-  sim::SimComm comm(2, sim::Machine::loopback());
+/// The adaptive 2D drop: 2 ranks, level 4 start, remesh after every step.
+chns::ChnsOptions<2> adaptiveDropOptions() {
   chns::ChnsOptions<2> opt;
   opt.params.Cn = 0.03;
   opt.dt = 1e-3;
@@ -487,11 +665,23 @@ TEST(GmgChns, HierarchyRebuiltOnRealRemesh) {
   opt.interfaceLevel = 5;
   opt.featureLevel = 5;
   opt.referenceLevel = 5;
+  return opt;
+}
+
+chns::ChnsSolver<2> adaptiveDrop(sim::SimComm& comm,
+                                 chns::ChnsOptions<2> opt) {
   auto tree = DistTree<2>::fromGlobal(comm, uniformTree<2>(4));
-  chns::ChnsSolver<2> s(comm, std::move(tree), opt);
+  chns::ChnsSolver<2> s(comm, std::move(tree), std::move(opt));
   s.setInitialCondition([&](const VecN<2>& x) {
-    return apps::dropPhi<2>(x, VecN<2>{{0.5, 0.5}}, 0.25, opt.params.Cn);
+    return apps::dropPhi<2>(x, VecN<2>{{0.5, 0.5}}, 0.25,
+                            s.options().params.Cn);
   });
+  return s;
+}
+
+TEST(GmgChns, HierarchyRebuiltOnRealRemesh) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto s = adaptiveDrop(comm, adaptiveDropOptions());
   const long r0 = s.meshRebuilds();
   s.step();
   s.step();
@@ -503,6 +693,58 @@ TEST(GmgChns, HierarchyRebuiltOnRealRemesh) {
   EXPECT_GT(builds, 1) << "real remesh did not invalidate the hierarchy";
   EXPECT_LE(builds, s.meshRebuilds() - r0 + 1)
       << "hierarchy rebuilt more than once per mesh";
+}
+
+
+// ---- CHNS degradation wiring, forced through existing options --------------
+
+TEST(GmgChns, FailingCoarseSolvesFallBackOncePerLinearSolve) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto opt = adaptiveDropOptions();
+  for (la::GmgOptions* g : {&opt.gmgCh, &opt.gmgNs, &opt.gmgPp})
+    g->coarseSolve = {.rtol = 1e-30, .maxIterations = 1};
+  auto s = adaptiveDrop(comm, opt);
+  const int steps = 3;
+  for (int i = 0; i < steps; ++i) {
+    s.step();
+    EXPECT_TRUE(s.lastChNewton_.converged) << "step " << i;
+    EXPECT_TRUE(s.lastNs_.converged) << "step " << i;
+    EXPECT_TRUE(s.lastPp_.converged) << "step " << i;
+  }
+  auto count = [&](const char* name) {
+    return s.telemetry().metrics.counter(name).value();
+  };
+  // Every linear solve (one per Newton iteration, plus NS and PP) tries
+  // one V-cycle, whose coarse solve fails, and then stays on its fallback.
+  EXPECT_GT(count("gmg.coarse_fail"), 0);
+  EXPECT_EQ(count("gmg.vcycles"), count("gmg.coarse_fail"));
+  EXPECT_EQ(count("gmgPcFallbacks"), count("gmg.vcycles"));
+  EXPECT_EQ(count("gmgPcFallbacks"),
+            count("ch-newton-iters") + 2 * steps * opt.blocksPerStep);
+  EXPECT_EQ(count("gmgRetirements"), 0);
+  for (const Field* f : {&s.phi(), &s.mu(), &s.velocity(), &s.pressure()})
+    for (const auto& part : *f)
+      for (const Real v : part) ASSERT_TRUE(std::isfinite(v));
+}
+
+TEST(GmgChns, CappedNsAndPpRetireOncePerMeshEpoch) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto opt = adaptiveDropOptions();
+  opt.nsKsp.maxIterations = 2;
+  opt.ppKsp.maxIterations = 2;
+  auto s = adaptiveDrop(comm, opt);
+  std::set<long> epochs;  // mesh epochs that ran a solve
+  for (int i = 0; i < 3; ++i) {
+    epochs.insert(s.meshRebuilds());
+    s.step();
+    EXPECT_FALSE(s.lastNs_.converged) << "step " << i;
+    EXPECT_FALSE(s.lastPp_.converged) << "step " << i;
+  }
+  ASSERT_GT(epochs.size(), 1u) << "no real remesh between solves";
+  // Each family retires on its first capped solve of an epoch; a real
+  // remesh un-retires it.
+  EXPECT_EQ(s.telemetry().metrics.counter("gmgRetirements").value(),
+            2 * static_cast<long>(epochs.size()));
 }
 
 }  // namespace

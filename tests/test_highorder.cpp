@@ -260,7 +260,7 @@ TEST(PSpace, P2ScreenedPoissonOrder3WithGmg) {
     la::LinOp<Field> A = [&ps](const Field& x, Field& y) {
       ps.matvec(x, y, 1.0, 1.0);
     };
-    la::Pc<Field> M =
+    la::LinOp<Field> M =
         fem::makePMultigridPc<DIM, P>(ps, 1.0, 1.0, gmg.preconditioner());
 
     // RHS b_a = int f N_a and (after the solve) the L2 error, both by
@@ -320,7 +320,7 @@ TEST(PSpace, P2ScreenedPoissonOrder3WithGmg) {
     Field u = ps.makeField();
     auto res = la::gmres(
         S, A, b, u, {.rtol = 1e-10, .maxIterations = 100, .gmresRestart = 50},
-        M);
+        &M);
     ASSERT_TRUE(res.converged) << "level " << int(level) << " rel "
                                << res.relResidual;
     const Real err = quadrature(&u, nullptr);

@@ -36,21 +36,32 @@
 // Global allocation counter for the zero-allocation predicate test.
 // Counting is toggled only around the measured call on the main thread.
 // new/delete below are a matched malloc/free pair; GCC's pairing heuristic
-// can't see that through the replaced globals.
+// can't see that through the replaced globals. The nothrow forms must be
+// replaced too: std::stable_sort takes its buffer from the nothrow new and
+// hands it back through the sized delete, which a sanitizer's own nothrow
+// new would not match (alloc-dealloc-mismatch under ASan).
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 namespace {
 std::atomic<bool> g_countAllocs{false};
 std::atomic<long> g_allocs{0};
+
+void* countedMalloc(std::size_t n) noexcept {
+  if (g_countAllocs.load(std::memory_order_relaxed))
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
-  if (g_countAllocs.load(std::memory_order_relaxed))
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = countedMalloc(n)) return p;
   throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return countedMalloc(n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace pt {
 namespace {

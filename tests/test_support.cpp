@@ -6,7 +6,6 @@
 #include "support/check.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 #include "support/vecn.hpp"
 
 namespace pt {
@@ -44,24 +43,6 @@ TEST(Check, MessageContainsContext) {
     EXPECT_NE(std::string(e.what()).find("special-context"),
               std::string::npos);
   }
-}
-
-TEST(Timer, Accumulates) {
-  Timer t;
-  t.start();
-  t.stop();
-  t.start();
-  t.stop();
-  EXPECT_EQ(t.calls(), 2);
-  EXPECT_GE(t.seconds(), 0.0);
-  t.reset();
-  EXPECT_EQ(t.calls(), 0);
-}
-
-TEST(Timer, StopWithoutStartIsNoop) {
-  Timer t;
-  t.stop();
-  EXPECT_EQ(t.calls(), 0);
 }
 
 TEST(PhaseSet, NamedAccess) {

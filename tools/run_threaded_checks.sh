@@ -54,6 +54,11 @@
 #    suites run their timer-only tests there (phase laps recorded through
 #    a MatvecPhaseScope under a threaded pool, and routed into the solver's
 #    own telemetry).
+# 12. The asan stage (DESIGN.md §13): the GMG, CHNS, KSP-threading and
+#    remesh fast-path suites under AddressSanitizer at PT_NUM_THREADS=4.
+#    The solve families' preconditioner closures capture the family and
+#    the mesh by reference, so one that outlived a remesh would show here
+#    as a heap-use-after-free.
 #
 # Usage: ./tools/run_threaded_checks.sh [extra ctest args]
 set -euo pipefail
@@ -142,5 +147,13 @@ echo "== profile: PT_MATVEC_TIMERS telemetry and overlap suites =="
 cmake --preset profile >/dev/null
 cmake --build --preset profile --target test_obs test_overlap -- -j"$(nproc)"
 ctest --preset profile -R 'test_(obs|overlap)$' "$@"
+
+echo "== asan: gmg/chns/ksp/remesh suites (PT_NUM_THREADS=4) =="
+cmake --preset asan >/dev/null
+cmake --build --preset asan \
+  --target test_gmg test_chns test_ksp_threading test_remesh_fastpath \
+  -- -j"$(nproc)"
+ctest --preset asan \
+  -R 'test_(gmg|chns|ksp_threading|remesh_fastpath)$' "$@"
 
 echo "threaded checks passed"
