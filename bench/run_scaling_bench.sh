@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the release preset and runs the Fig 4a strong-scaling sweep
 # (bench/fig4a_matvec_strong.cpp), which validates the split-phase MATVEC
-# against the blocking engine on simulated ranks (bitwise-identical
-# outputs, clock never above blocking) and projects both charge schedules
-# to 114,688 ranks, writing BENCH_scaling.json in the current directory.
+# against the one-pass fem::matvecNaive on simulated ranks
+# (bitwise-identical outputs, clock never above the reference's) and
+# projects the blocking and overlap charge models to 114,688 ranks,
+# writing BENCH_scaling.json in the current directory.
 #
 # The release preset is configured and built explicitly — numbers from a
 # debug tree are worthless, and the binary itself also refuses to run if it

@@ -26,7 +26,7 @@ fi
 python3 tools/trace_summary.py BENCH_solver.json
 
 # Regression gate: when a baseline report is supplied (PT_BENCH_BASELINE=
-# path/to/BENCH_solver.json from a trusted earlier run), any pooled/gmg
+# path/to/BENCH_solver.json from a trusted earlier run), any fallback/gmg
 # config whose timing metric or derived speedup moved >10% in the bad
 # direction fails the run (tools/bench_compare.py exits nonzero).
 if [[ -n "${PT_BENCH_BASELINE:-}" ]]; then

@@ -44,9 +44,9 @@ class SolveFamily {
   /// and its result must not enter the state.
   static constexpr Real kSaneCap = 1e8;
 
-  /// `gmg` is the family's GMG switch (off for VU and under
-  /// gmgPrecond=false). Every apply is timed under `pcPhase`, which must
-  /// be a string literal (it also names the trace span).
+  /// `gmg` says whether the family carries a V-cycle (VU has none). Every
+  /// apply is timed under `pcPhase`, which must be a string literal (it
+  /// also names the trace span).
   SolveFamily(bool gmg, obs::PhaseSet& phases, obs::Registry& metrics,
               const char* pcPhase)
       : gmg_(gmg),

@@ -82,48 +82,25 @@ struct ChnsOptions {
       .rtol = 1e-8, .atol = 1e-10, .maxIterations = 12,
       .linear = {.rtol = 1e-6, .maxIterations = 200}};
 
-  /// Communication-computation overlap (DESIGN.md §15): split-phase ghost
-  /// and accumulate epochs in the MATVEC engines (interior panels run while
-  /// the boundary accumulate is in flight) and the async multi-field
-  /// remesh-transfer epoch. Purely a virtual-clock charge change — every
-  /// produced value, solver history, and collective count is bitwise
-  /// identical to the blocking path; off = the historical blocking charges
-  /// (the fig4a baseline series).
-  bool commOverlap = true;
-
-  /// GMG-preconditioned CH/NS/PP solves: matrix-free V-cycles whose level
-  /// operators are frozen-coefficient mass/stiffness blocks routed through
-  /// the batched panel-GEMM engine. The coarsened-tree hierarchy is a pure
-  /// function of the current tree, built once per (mesh) and cached across
-  /// solves and no-op remeshes (dropped by invalidateSolverCaches on real
-  /// remeshes). Per-level variable coefficients (mobility, psi'' tables,
-  /// 1/rho(phi), local Cn) are volume-restricted down the tree chain, so
-  /// Newton's lagged-Jacobian reuse re-discretizes every level from the
-  /// current iterate. The whole path is bitwise identical for any thread
-  /// count. Off = the pooled (block-)Jacobi preconditioners alone.
+  /// GMG preconditioning of the CH/NS/PP solves: matrix-free V-cycles
+  /// whose level operators are frozen-coefficient mass/stiffness blocks
+  /// routed through the batched panel-GEMM engine. The coarsened-tree
+  /// hierarchy is a pure function of the current tree, cached across
+  /// solves and no-op remeshes. Per-level variable coefficients (mobility,
+  /// psi'' tables, 1/rho(phi), local Cn) are volume-restricted down the
+  /// tree chain, so Newton's lagged-Jacobian reuse re-discretizes every
+  /// level from the current iterate. Bitwise identical for any thread
+  /// count.
   ///
-  /// Degradation is graceful, never fatal: a V-cycle apply that fails its
-  /// coarse solve (typed GmgCoarseSolveError) or returns non-finite values
-  /// falls back to the pooled block-Jacobi apply for that request, and a
-  /// solve family whose outer Krylov loop still caps out retires its GMG
-  /// until the next real remesh (counters gmgPcFallbacks /
-  /// gmgRetirements). Sharp-interface spinodal states — e.g. the fig8 jet,
-  /// where even the historical preconditioner saturates every cap — thus
-  /// run no worse than the historical path instead of failing the step.
-  bool gmgPrecond = true;
-
-  /// SIMD microkernels in the batched MATVEC engine (fem/simd.hpp): when
-  /// on (default), panel GEMMs run at the widest runtime-detected ISA tier
-  /// (AVX-512F / AVX2+FMA; PT_SIMD can clamp it down). Off pins the scalar
-  /// tier, which replays the historical loop nest operation-for-operation —
-  /// the bitwise-comparable baseline the kernel-equivalence tests pin.
-  /// Vector tiers agree with it to roundoff (~1e-13 rel) and keep both
-  /// engines' determinism contracts for a fixed tier.
-  bool simdKernels = true;
-
-  /// Per-solve GMG tuning. CH is a nonsymmetric 2x2 block system carrying
-  /// the frozen advection coupling on per-element convection blocks:
-  /// damped block-Jacobi smoothing (no eigenvalue estimation per Newton
+  /// Degradation is graceful, never fatal (chns/solve_family.hpp): a
+  /// failed V-cycle apply falls back to the pooled (block-)Jacobi for that
+  /// request, and a family whose outer Krylov loop still caps out retires
+  /// its GMG until the next real remesh. Sharp-interface spinodal states
+  /// (the fig8 jet) thus run no worse than the pooled preconditioner.
+  ///
+  /// Per-solve tuning. CH is a nonsymmetric 2x2 block system carrying the
+  /// frozen advection coupling on per-element convection blocks: damped
+  /// block-Jacobi smoothing (no eigenvalue estimation per Newton
   /// iteration) and a BiCGStab coarse solve. NS level operators drop
   /// convection and are SPD per component. PP is the variable-density
   /// Poisson operator the paper names as the GMG target; Chebyshev
@@ -147,7 +124,6 @@ class ChnsSolver {
   ChnsSolver(sim::SimComm& comm, DistTree<DIM> tree, ChnsOptions<DIM> opt)
       : comm_(&comm), opt_(std::move(opt)), tree_(std::move(tree)) {
     tel_->ranks.attach(comm_);
-    comm_->setOverlapEnabled(opt_.commOverlap);
     rebuildMesh();
   }
 
@@ -488,7 +464,7 @@ class ChnsSolver {
     gmgHier_.reset();
   }
 
-  // ---- GMG preconditioning (gmgPrecond) ------------------------------------
+  // ---- GMG preconditioning -------------------------------------------------
 
   /// The coarsened-tree hierarchy, built lazily once per mesh and shared by
   /// the CH/NS/PP preconditioners. Depth covers the deepest per-solve
@@ -558,12 +534,6 @@ class ChnsSolver {
     return out;
   }
 
-  /// Kernel tier for the batched engine under this solver's options:
-  /// simdKernels off pins the scalar tier (the historical engine, bitwise).
-  fem::SimdIsa kernelIsa() const {
-    return opt_.simdKernels ? fem::simdIsa() : fem::SimdIsa::kScalar;
-  }
-
   /// CH V-cycle: frozen 2x2 CH-Jacobian blocks per element, re-discretized
   /// per level from the restricted Newton iterate (phibar), local Cn, and
   /// the element-mean velocity. Advection rides on the convection-block
@@ -616,8 +586,7 @@ class ChnsSolver {
         }
       }
       return la::makeCoefBlockLevelOps<DIM>(m, 2, std::move(cM),
-                                            std::move(cK), std::move(cT),
-                                            kernelIsa());
+                                            std::move(cK), std::move(cT));
     };
     auto g = std::make_shared<la::Gmg<DIM>>(*comm_, hier, factory,
                                             opt_.gmgCh, &tel_->metrics);
@@ -651,8 +620,7 @@ class ChnsSolver {
         }
       }
       la::GmgLevelOps<DIM> ops =
-          la::makeCoefBlockLevelOps<DIM>(m, DIM, std::move(cM), std::move(cK),
-                                         nullptr, kernelIsa());
+          la::makeCoefBlockLevelOps<DIM>(m, DIM, std::move(cM), std::move(cK));
       // Per-level Dirichlet rows: the mask is owned by a shared_ptr kept
       // alive inside the op closure (dirichletOp captures it by reference),
       // and mirrored into ops.mask for the smoother-diagonal treatment.
@@ -695,8 +663,8 @@ class ChnsSolver {
         for (std::size_t e = 0; e < ne; ++e)
           (*cK)[r][e] = dt / (P.We * P.rho(phibar[l][r][e]));
       }
-      la::GmgLevelOps<DIM> ops = la::makeCoefBlockLevelOps<DIM>(
-          m, 1, std::move(cM), std::move(cK), nullptr, kernelIsa());
+      la::GmgLevelOps<DIM> ops =
+          la::makeCoefBlockLevelOps<DIM>(m, 1, std::move(cM), std::move(cK));
       // Euclidean nodal-mean deflation on this level's own node set; the
       // level operator is also projection-wrapped so the coarse Krylov
       // solve stays on the deflated subspace.
@@ -1376,21 +1344,20 @@ class ChnsSolver {
         [this](Field& z) { projectNodalMean(z); });
     // The V-cycle (injection restriction != prolongation^T) is not
     // symmetric, so preconditioned CG theory does not apply; BiCGStab
-    // carries the GMG path. The non-GMG path keeps historical CG.
+    // carries the GMG path. A retired family keeps CG.
     //
-    // With gmgPrecond on, the solve is additionally allowed to fail soft:
-    // upstream GMG-degraded solves can hand this system states on which
-    // the deflated Jacobi preconditioner (Jacobi-then-project is mildly
-    // nonsymmetric) makes CG graze pAp <= 0, and BiCGStab can break down
-    // to a non-finite iterate. Either way the pressure increment for this
-    // block is skipped (dp = 0) instead of failing the step; the
-    // historical gmgPrecond=off path keeps its exact throwing semantics.
+    // The solve is allowed to fail soft: upstream GMG-degraded solves can
+    // hand this system states on which the deflated Jacobi preconditioner
+    // (Jacobi-then-project is mildly nonsymmetric) makes CG graze
+    // pAp <= 0, and BiCGStab can break down to a non-finite iterate.
+    // Either way the breakdown counts one fallback and the pressure
+    // increment for this block is skipped (dp = 0) instead of failing the
+    // step.
     la::KspWorkspace<Field>* ws = &pp_.workspace();
     try {
       lastPp_ = pp_.usesGmg() ? la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M, ws)
                               : la::cg(S, A, rhs, dp, opt_.ppKsp, &M, ws);
     } catch (const CheckError&) {
-      if (!opt_.gmgPrecond) throw;
       pp_.countFallback();
       lastPp_ = la::KspResult{};
       for (auto& v : dp) std::fill(v.begin(), v.end(), 0.0);
@@ -1510,9 +1477,9 @@ class ChnsSolver {
   // The four solve families: pooled Krylov workspaces kept warm across
   // time steps, preconditioners cached per (mesh, dt), and the GMG
   // degradation policy. All reset by invalidateSolverCaches() on remesh.
-  SolveFamily ch_{opt_.gmgPrecond, timers_, tel_->metrics, "ch-pc"};
-  SolveFamily ns_{opt_.gmgPrecond, timers_, tel_->metrics, "ns-pc"};
-  SolveFamily pp_{opt_.gmgPrecond, timers_, tel_->metrics, "pp-pc"};
+  SolveFamily ch_{true, timers_, tel_->metrics, "ch-pc"};
+  SolveFamily ns_{true, timers_, tel_->metrics, "ns-pc"};
+  SolveFamily pp_{true, timers_, tel_->metrics, "pp-pc"};
   SolveFamily vu_{false, timers_, tel_->metrics, "vu-pc"};
   std::unique_ptr<la::FieldSpace<DIM>> scalarSpace_;
   // Frozen-coefficient caches for the matrix-free operators: per-element,
@@ -1520,9 +1487,9 @@ class ChnsSolver {
   // construction and sized to the current mesh (storage reused across
   // solves). Only read while the owning solve's state fields are alive.
   Field chJCoef_, nsCoef_, ppCoef_;
-  // GMG preconditioning (gmgPrecond): one coarsened-tree hierarchy per
-  // mesh, shared by the per-solve Gmg objects. Hierarchy construction never
-  // touches solution state, so caching it is bitwise-neutral; dropped by
+  // GMG preconditioning: one coarsened-tree hierarchy per mesh, shared by
+  // the per-solve Gmg objects. Hierarchy construction never touches
+  // solution state, so caching it is bitwise-neutral; dropped by
   // invalidateSolverCaches() on every real remesh.
   std::shared_ptr<const la::GmgHierarchy<DIM>> gmgHier_;
   obs::Counter* gmgHierBuilds_ =

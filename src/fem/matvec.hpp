@@ -236,25 +236,6 @@ inline constexpr std::size_t kMatvecWindow = 2048;
 
 namespace matvecdetail {
 
-/// Runs fn(r, innerThreads) over all ranks: ranks in parallel when the pool
-/// has workers and there are multiple ranks (each rank then serial inside —
-/// per-rank outputs are disjoint, so this is deterministic), otherwise
-/// sequentially with intra-rank threading enabled.
-template <typename F>
-void forEachRank(int p, F&& fn) {
-  auto& pool = support::ThreadPool::instance();
-  if (pool.threads() > 1 && p > 1) {
-    pool.parallelFor(static_cast<std::size_t>(p),
-                     [&fn](int, std::size_t b, std::size_t e) {
-                       PT_SPAN("matvec-ranks");
-                       for (std::size_t r = b; r < e; ++r)
-                         fn(static_cast<int>(r), false);
-                     });
-  } else {
-    for (int r = 0; r < p; ++r) fn(r, pool.threads() > 1);
-  }
-}
-
 /// One rank of the planned traversal with ADD semantics. `kernel` receives
 /// (e, oct, in, out) and must be re-entrant when threading is enabled (no
 /// shared mutable scratch).
@@ -333,8 +314,9 @@ void matvecIndexed(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
   const int p = mesh.nRanks();
   PT_MV_PHASES(mvps);
 
-  if (!mesh.comm().overlapEnabled() || p <= 1) {
-    matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
+  // One rank has no neighbours to overlap with: the one-pass traversal.
+  if (p <= 1) {
+    sim::forEachRank(p, [&](int r, bool innerThreads) {
       const RankMesh<DIM>& rm = mesh.rank(r);
       y[r].assign(rm.nNodes() * ndof, 0.0);
       matvecdetail::applyRankAdd(
@@ -354,17 +336,18 @@ void matvecIndexed(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
   // elements and scatters ONLY their shared-node contributions; those are
   // the complete pre-exchange values of every shared node (interior
   // elements touch none), so the accumulate can start. Pass B then walks
-  // ALL elements in the blocking path's order, replaying the stored
-  // boundary results and computing interior elements fresh, scattering
-  // only private-node contributions — per node the accumulation order is
-  // exactly the blocking engine's, so results are bitwise identical.
-  // Interior work is charged between start and finish, where the virtual
-  // clock credits it against the exchange latency.
+  // ALL elements in the one-pass order, replaying the stored boundary
+  // results and computing interior elements fresh, scattering only
+  // private-node contributions — per node the accumulation order is
+  // exactly the one-pass traversal's, so results are bitwise identical to
+  // it (and to matvecNaive). Interior work is charged between start and
+  // finish, where the virtual clock credits it against the exchange
+  // latency.
   constexpr int kC = kNumChildren<DIM>;
   const std::size_t stride = static_cast<std::size_t>(kC) * ndof;
   const double perElem = matvecWorkPerElem<DIM>(ndof);
   std::vector<std::vector<Real>> bres(p);  // boundary results, natural order
-  matvecdetail::forEachRank(p, [&](int r, bool) {
+  sim::forEachRank(p, [&](int r, bool) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const std::vector<char>& eb = rm.plan.elemBoundary;
     y[r].assign(rm.nNodes() * ndof, 0.0);
@@ -390,7 +373,7 @@ void matvecIndexed(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
     mesh.comm().chargeWork(r, perElem * rm.plan.nBoundaryElems);
   });
   auto h = mesh.accumulateStart(y, ndof);
-  matvecdetail::forEachRank(p, [&](int r, bool) {
+  sim::forEachRank(p, [&](int r, bool) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const std::vector<char>& eb = rm.plan.elemBoundary;
     PT_MV_TIMER(mvps, tg, "gather");

@@ -137,7 +137,7 @@ void matvecUniform(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
   const int p = mesh.nRanks();
   PT_MV_PHASES(mvps);
   auto& pool = support::ThreadPool::instance();
-  matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
+  sim::forEachRank(p, [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
     PT_CHECK(plan.isPure.size() == rm.nElems());
@@ -285,8 +285,8 @@ inline std::vector<std::size_t> coefPanelOffsets(const ElemPlan& plan, int kN,
 }
 
 /// Node-class filter for the two-pass overlap scatter (DESIGN.md §15):
-/// kAll is the blocking path; kShared/kPrivate together partition it while
-/// preserving, per node, the blocking accumulation order exactly.
+/// kAll is the one-pass body; kShared/kPrivate together partition it while
+/// preserving, per node, the one-pass accumulation order exactly.
 enum class ScatterClass { kAll, kShared, kPrivate };
 
 inline bool scatterWants(ScatterClass cls, bool nodeIsShared) {
@@ -295,7 +295,7 @@ inline bool scatterWants(ScatterClass cls, bool nodeIsShared) {
 }
 
 /// Serial coefficient-block scatter of batches in ascending order, exactly
-/// the loop nest of the blocking phase 2; `boundaryOnly` restricts to
+/// the loop nest of the one-pass phase 2; `boundaryOnly` restricts to
 /// boundary batches (interior batches contribute nothing to shared nodes,
 /// so skipping them under kShared preserves the per-node order).
 template <int DIM>
@@ -339,7 +339,7 @@ void coefScatterBatches(const RankMesh<DIM>& rm, const Real* cMr,
 }
 
 /// Serial hanging-element sweep with the coefficient-block mixing (the
-/// blocking path's trailing loop, class-filterable). Under kShared, runs
+/// one-pass body's trailing loop, class-filterable). Under kShared, runs
 /// with no boundary element are skipped whole; under kPrivate and kAll the
 /// full sweep runs. Panel products recomputed per call are bitwise
 /// reproducible (same inputs, same operation sequence), so a kShared sweep
@@ -421,6 +421,89 @@ void coefHangingSweep(const RankMesh<DIM>& rm,
   }
 }
 
+/// Per-rank reference mass and stiffness operators for every level the
+/// rank's batches and hanging elements use. Not movable once built: opsM
+/// and opsK point into the caches.
+template <int DIM>
+struct CoefLevelOps {
+  LevelOperatorCache<DIM> cacheM{1.0, 0.0}, cacheK{0.0, 1.0};
+  std::array<const Real*, kMaxLevel + 1> opsM{}, opsK{};
+
+  void build(const RankMesh<DIM>& rm) {
+    for (const ElemPlanBatch& b : rm.plan.batches) {
+      opsM[b.level] = cacheM.at(b.level).data();
+      opsK[b.level] = cacheK.at(b.level).data();
+    }
+    for (std::uint32_t e : rm.plan.hangingElems) {
+      const Level lvl = rm.elems[e].level;
+      opsM[lvl] = cacheM.at(lvl).data();
+      opsK[lvl] = cacheK.at(lvl).data();
+    }
+  }
+};
+
+template <int DIM>
+double coefWorkPerElem(int ndof) {
+  return 2.0 * matvecWorkPerElem<DIM>(ndof) +
+         2.0 * (ndof * ndof) * kNodes<DIM>;
+}
+
+/// The one-pass body of matvecCoefBlocks, without the accumulate: every
+/// rank's local y[r]. It is the single-rank engine, and followed by
+/// Mesh::accumulate it is the bitwise reference for the split-phase
+/// schedule.
+template <int DIM>
+void coefBlocksOnePass(const Mesh<DIM>& mesh, const Field& x, Field& y,
+                       int ndof, const sim::PerRank<std::vector<Real>>& cM,
+                       const sim::PerRank<std::vector<Real>>& cK,
+                       SimdIsa isa) {
+  constexpr int kN = kNodes<DIM>;
+  auto& pool = support::ThreadPool::instance();
+  sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
+    const RankMesh<DIM>& rm = mesh.rank(r);
+    const ElemPlan& plan = rm.plan;
+    PT_CHECK(plan.isPure.size() == rm.nElems());
+    PT_CHECK(cM[r].size() == rm.nElems() * std::size_t(ndof * ndof));
+    PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(ndof * ndof));
+    std::vector<Real>& yr = y[r];
+    yr.assign(rm.nNodes() * ndof, 0.0);
+    CoefLevelOps<DIM> lops;
+    lops.build(rm);
+
+    // Phase 1: panel products, parallel over batches (shared read-only
+    // inputs, disjoint per-batch padded output slots).
+    const std::vector<std::size_t> panelOff =
+        coefPanelOffsets(plan, kN, ndof);
+    std::vector<Real> YM(panelOff.back());
+    std::vector<Real> YK(panelOff.back());
+    auto panels = [&](std::size_t b0, std::size_t b1) {
+      computeCoefPanels(rm, lops.opsM, lops.opsK, x[r], YM, YK, panelOff,
+                        ndof, b0, b1, isa);
+    };
+    if (innerThreads && plan.batches.size() > 1 && pool.threads() > 1) {
+      pool.parallelFor(plan.batches.size(),
+                       [&](int, std::size_t b0, std::size_t b1) {
+                         panels(b0, b1);
+                       });
+    } else {
+      panels(0, plan.batches.size());
+    }
+
+    // Phase 2: serial scatter in ascending batch order with the
+    // per-element coefficient-block mixing, then the serial hanging-element
+    // sweep (weighted gather/scatter per element, A_e applies batched
+    // through the same panel GEMMs).
+    coefScatterBatches<DIM>(rm, cM[r].data(), cK[r].data(), YM, YK,
+                            panelOff, ndof, yr, ScatterClass::kAll,
+                            /*boundaryOnly=*/false);
+    coefHangingSweep<DIM>(rm, lops.opsM, lops.opsK, cM[r].data(),
+                          cK[r].data(), x[r], yr, ndof, isa,
+                          ScatterClass::kAll);
+
+    mesh.comm().chargeWork(r, coefWorkPerElem<DIM>(ndof) * rm.nElems());
+  });
+}
+
 }  // namespace matvecdetail
 
 /// Batched MATVEC for per-element coefficient-block operators — the GMG
@@ -445,6 +528,9 @@ void coefHangingSweep(const RankMesh<DIM>& rm,
 /// runs serially in ascending batch order, followed by the serial
 /// hanging-element sweep, so the accumulation order into y is a pure
 /// function of the plan.
+///
+/// A single rank runs the one-pass body (coefBlocksOnePass); more ranks run
+/// the split-phase schedule, whose values are bitwise the one-pass body's.
 template <int DIM>
 void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
                       int ndof, const sim::PerRank<std::vector<Real>>& cM,
@@ -452,66 +538,8 @@ void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
                       SimdIsa isa = simdIsa()) {
   constexpr int kN = kNodes<DIM>;
   const int p = mesh.nRanks();
-  const int nd2 = ndof * ndof;
-  auto& pool = support::ThreadPool::instance();
-  const bool overlap = mesh.comm().overlapEnabled() && p > 1;
-  const double workPerElem =
-      2.0 * matvecWorkPerElem<DIM>(ndof) + 2.0 * nd2 * kN;
-
-  if (!overlap) {
-    matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
-      const RankMesh<DIM>& rm = mesh.rank(r);
-      const ElemPlan& plan = rm.plan;
-      PT_CHECK(plan.isPure.size() == rm.nElems());
-      PT_CHECK(cM[r].size() == rm.nElems() * std::size_t(nd2));
-      PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(nd2));
-      std::vector<Real>& yr = y[r];
-      yr.assign(rm.nNodes() * ndof, 0.0);
-
-      LevelOperatorCache<DIM> cacheM(1.0, 0.0), cacheK(0.0, 1.0);
-      std::array<const Real*, kMaxLevel + 1> opsM{}, opsK{};
-      for (const ElemPlanBatch& b : plan.batches) {
-        opsM[b.level] = cacheM.at(b.level).data();
-        opsK[b.level] = cacheK.at(b.level).data();
-      }
-      for (std::uint32_t e : plan.hangingElems) {
-        const Level lvl = rm.elems[e].level;
-        opsM[lvl] = cacheM.at(lvl).data();
-        opsK[lvl] = cacheK.at(lvl).data();
-      }
-
-      // Phase 1: panel products, parallel over batches (shared read-only
-      // inputs, disjoint per-batch padded output slots).
-      const std::vector<std::size_t> panelOff =
-          matvecdetail::coefPanelOffsets(plan, kN, ndof);
-      std::vector<Real> YM(panelOff.back());
-      std::vector<Real> YK(panelOff.back());
-      auto panels = [&](std::size_t b0, std::size_t b1) {
-        matvecdetail::computeCoefPanels(rm, opsM, opsK, x[r], YM, YK,
-                                        panelOff, ndof, b0, b1, isa);
-      };
-      if (innerThreads && plan.batches.size() > 1 && pool.threads() > 1) {
-        pool.parallelFor(plan.batches.size(),
-                         [&](int, std::size_t b0, std::size_t b1) {
-                           panels(b0, b1);
-                         });
-      } else {
-        panels(0, plan.batches.size());
-      }
-
-      // Phase 2: serial scatter in ascending batch order with the
-      // per-element coefficient-block mixing, then the serial
-      // hanging-element sweep (weighted gather/scatter per element, A_e
-      // applies batched through the same panel GEMMs).
-      matvecdetail::coefScatterBatches<DIM>(
-          rm, cM[r].data(), cK[r].data(), YM, YK, panelOff, ndof, yr,
-          matvecdetail::ScatterClass::kAll, /*boundaryOnly=*/false);
-      matvecdetail::coefHangingSweep<DIM>(rm, opsM, opsK, cM[r].data(),
-                                          cK[r].data(), x[r], yr, ndof, isa,
-                                          matvecdetail::ScatterClass::kAll);
-
-      mesh.comm().chargeWork(r, workPerElem * rm.nElems());
-    });
+  if (p <= 1) {
+    matvecdetail::coefBlocksOnePass<DIM>(mesh, x, y, ndof, cM, cK, isa);
     mesh.accumulate(y, ndof);
     return;
   }
@@ -520,54 +548,47 @@ void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
   // boundary-containing hanging runs evaluate first and scatter their
   // shared-node contributions, the accumulate is posted, and the interior
   // panels run through the GEMM engine while the exchange is in flight;
-  // the private-node scatter then replays the blocking order over ALL
+  // the private-node scatter then replays the one-pass order over ALL
   // batches (boundary panels retained in YM/YK) and the full hanging
   // sweep, so per node the accumulation order — and hence the result — is
-  // bitwise identical to the blocking path. Interior work is charged
+  // bitwise identical to the one-pass body. Interior work is charged
   // inside the epoch where the virtual clock credits the overlap.
   struct RankCoefState {
-    LevelOperatorCache<DIM> cacheM{1.0, 0.0}, cacheK{0.0, 1.0};
-    std::array<const Real*, kMaxLevel + 1> opsM{}, opsK{};
+    matvecdetail::CoefLevelOps<DIM> lops;
     std::vector<std::size_t> panelOff;
     std::vector<Real> YM, YK;
   };
+  const double workPerElem = matvecdetail::coefWorkPerElem<DIM>(ndof);
   std::vector<RankCoefState> st(p);
-  matvecdetail::forEachRank(p, [&](int r, bool) {
+  sim::forEachRank(p, [&](int r, bool) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
     PT_CHECK(plan.isPure.size() == rm.nElems());
-    PT_CHECK(cM[r].size() == rm.nElems() * std::size_t(nd2));
-    PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(nd2));
+    PT_CHECK(cM[r].size() == rm.nElems() * std::size_t(ndof * ndof));
+    PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(ndof * ndof));
     std::vector<Real>& yr = y[r];
     yr.assign(rm.nNodes() * ndof, 0.0);
     RankCoefState& s = st[r];
-    for (const ElemPlanBatch& b : plan.batches) {
-      s.opsM[b.level] = s.cacheM.at(b.level).data();
-      s.opsK[b.level] = s.cacheK.at(b.level).data();
-    }
-    for (std::uint32_t e : plan.hangingElems) {
-      const Level lvl = rm.elems[e].level;
-      s.opsM[lvl] = s.cacheM.at(lvl).data();
-      s.opsK[lvl] = s.cacheK.at(lvl).data();
-    }
+    s.lops.build(rm);
     s.panelOff = matvecdetail::coefPanelOffsets(plan, kN, ndof);
     s.YM.assign(s.panelOff.back(), 0.0);
     s.YK.assign(s.panelOff.back(), 0.0);
     // Pass A: boundary panels + shared-node scatter.
     for (std::size_t b = 0; b < plan.batches.size(); ++b)
       if (plan.batchBoundary[b])
-        matvecdetail::computeCoefPanels(rm, s.opsM, s.opsK, x[r], s.YM, s.YK,
-                                        s.panelOff, ndof, b, b + 1, isa);
+        matvecdetail::computeCoefPanels(rm, s.lops.opsM, s.lops.opsK, x[r],
+                                        s.YM, s.YK, s.panelOff, ndof, b,
+                                        b + 1, isa);
     matvecdetail::coefScatterBatches<DIM>(
         rm, cM[r].data(), cK[r].data(), s.YM, s.YK, s.panelOff, ndof, yr,
         matvecdetail::ScatterClass::kShared, /*boundaryOnly=*/true);
-    matvecdetail::coefHangingSweep<DIM>(rm, s.opsM, s.opsK, cM[r].data(),
-                                        cK[r].data(), x[r], yr, ndof, isa,
-                                        matvecdetail::ScatterClass::kShared);
+    matvecdetail::coefHangingSweep<DIM>(
+        rm, s.lops.opsM, s.lops.opsK, cM[r].data(), cK[r].data(), x[r], yr,
+        ndof, isa, matvecdetail::ScatterClass::kShared);
     mesh.comm().chargeWork(r, workPerElem * plan.nBoundaryElems);
   });
   auto h = mesh.accumulateStart(y, ndof);
-  matvecdetail::forEachRank(p, [&](int r, bool) {
+  sim::forEachRank(p, [&](int r, bool) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
     std::vector<Real>& yr = y[r];
@@ -576,14 +597,15 @@ void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
     // private-node scatter over all batches and the full hanging sweep.
     for (std::size_t b = 0; b < plan.batches.size(); ++b)
       if (!plan.batchBoundary[b])
-        matvecdetail::computeCoefPanels(rm, s.opsM, s.opsK, x[r], s.YM, s.YK,
-                                        s.panelOff, ndof, b, b + 1, isa);
+        matvecdetail::computeCoefPanels(rm, s.lops.opsM, s.lops.opsK, x[r],
+                                        s.YM, s.YK, s.panelOff, ndof, b,
+                                        b + 1, isa);
     matvecdetail::coefScatterBatches<DIM>(
         rm, cM[r].data(), cK[r].data(), s.YM, s.YK, s.panelOff, ndof, yr,
         matvecdetail::ScatterClass::kPrivate, /*boundaryOnly=*/false);
-    matvecdetail::coefHangingSweep<DIM>(rm, s.opsM, s.opsK, cM[r].data(),
-                                        cK[r].data(), x[r], yr, ndof, isa,
-                                        matvecdetail::ScatterClass::kPrivate);
+    matvecdetail::coefHangingSweep<DIM>(
+        rm, s.lops.opsM, s.lops.opsK, cM[r].data(), cK[r].data(), x[r], yr,
+        ndof, isa, matvecdetail::ScatterClass::kPrivate);
     mesh.comm().chargeWork(
         r, workPerElem * (rm.nElems() - plan.nBoundaryElems));
   });

@@ -246,9 +246,8 @@ struct NodalTransfer {
 /// epoch is deterministic. Exchange structure (one query + one answer
 /// exchange per field — the collective count the fault-injection tests
 /// pin) and every output value are identical to calling transferNodal once
-/// per field; only the virtual-clock charge credits the overlap. Falls
-/// back to exactly that sequential path when overlap is disabled on the
-/// communicator.
+/// per field; only the virtual-clock charge credits the overlap. An empty
+/// field list transfers nothing and charges nothing.
 template <int DIM>
 std::vector<Field> transferNodalMany(const Mesh<DIM>& oldMesh,
                                      const std::vector<NodalTransfer<DIM>>& fs,
@@ -258,15 +257,9 @@ std::vector<Field> transferNodalMany(const Mesh<DIM>& oldMesh,
   sim::SimComm& comm = oldMesh.comm();
   const std::size_t nf = fs.size();
   std::vector<Field> out(nf);
+  if (nf == 0) return out;
 
-  if (!comm.overlapEnabled()) {
-    for (std::size_t f = 0; f < nf; ++f)
-      out[f] =
-          transferNodal(oldMesh, *fs[f].oldF, newMesh, fs[f].ndof, tables);
-    return out;
-  }
-
-  // The per-field splitter gathers the blocking path would have charged.
+  // The per-field splitter gathers transferNodal would have charged.
   std::vector<Splitters<DIM>> splLocal;
   if (!tables)
     for (std::size_t f = 0; f < nf; ++f)
@@ -274,8 +267,8 @@ std::vector<Field> transferNodalMany(const Mesh<DIM>& oldMesh,
   const Splitters<DIM>& spl = tables ? tables->spl : splLocal.front();
 
   // Round 1: post every field's query exchange, then finish in order.
-  // The queries (and their build charge) are per field, as in the blocking
-  // path, but the exchange latencies overlap each other.
+  // The queries (and their build charge) are per field, as in
+  // transferNodal, but the exchange latencies overlap each other.
   std::vector<detail::NodalQueries<DIM>> qs;
   std::vector<sim::ExchangeHandle<std::uint32_t>> qh(nf);
   for (std::size_t f = 0; f < nf; ++f) {

@@ -19,7 +19,7 @@
 //
 // Smoothers: matrix-free Chebyshev(k) over the block-diagonally
 // preconditioned operator D^-1 A (eigenvalue upper bound per level via a
-// few deterministic power iterations), or damped (block-)Jacobi. The
+// few deterministic power iterations), or damped block-Jacobi. The
 // smoother's D^-1 reuses the pre-factorized node-block machinery from
 // la/pc.hpp. V-cycle vector updates are plain serial loops and the
 // eigenvalue estimate uses Mesh::dot, so a V-cycle is bitwise identical
@@ -67,7 +67,6 @@ struct GmgCoarseSolveError : CheckError {
 
 enum class GmgSmoother {
   kChebyshev,    ///< Chebyshev(k) on D_block^-1 A (default)
-  kJacobi,       ///< damped point Jacobi (the historical smoother)
   kBlockJacobi,  ///< damped node-block Jacobi (factored blocks)
 };
 
@@ -76,7 +75,7 @@ struct GmgOptions {
   int preSmooth = 2;
   int postSmooth = 2;
   GmgSmoother smoother = GmgSmoother::kChebyshev;
-  Real omega = 0.7;  ///< damping for the Jacobi-type smoothers
+  Real omega = 0.7;  ///< damping for the block-Jacobi smoother
   /// Chebyshev interval [eigLoFrac*lam, eigHiSafety*lam] around the power-
   /// iteration estimate lam of the largest eigenvalue of D^-1 A.
   int powerIterations = 8;
@@ -128,13 +127,14 @@ using GmgOpFactory =
 /// engine (fem::matvecIndexed, also thread-count invariant); the smoother
 /// diagonal deliberately keeps only the mass+stiffness part, matching the
 /// historical block-Jacobi, so its factorization stays well-conditioned.
+///
+/// The batched engine's kernel tier is fem::simdIsa(), read once here.
 template <int DIM>
 GmgLevelOps<DIM> makeCoefBlockLevelOps(
     const Mesh<DIM>& mesh, int ndof,
     std::shared_ptr<const sim::PerRank<std::vector<Real>>> cM,
     std::shared_ptr<const sim::PerRank<std::vector<Real>>> cK,
-    std::shared_ptr<const sim::PerRank<std::vector<Real>>> cT = nullptr,
-    fem::SimdIsa isa = fem::simdIsa()) {
+    std::shared_ptr<const sim::PerRank<std::vector<Real>>> cT = nullptr) {
   GmgLevelOps<DIM> ops;
   ops.ndof = ndof;
   if (cT) {
@@ -188,7 +188,8 @@ GmgLevelOps<DIM> makeCoefBlockLevelOps(
           });
     };
   } else {
-    ops.op = [&mesh, ndof, cM, cK, isa](const Field& x, Field& y) {
+    ops.op = [&mesh, ndof, cM, cK, isa = fem::simdIsa()](const Field& x,
+                                                          Field& y) {
       fem::matvecCoefBlocks<DIM>(mesh, x, y, ndof, *cM, *cK, isa);
     };
   }
@@ -309,8 +310,6 @@ class Gmg {
     dinv_.reserve(L);
     for (int l = 0; l < L; ++l) {
       applyDirichletToDiag(l);
-      if (opt_.smoother == GmgSmoother::kJacobi)
-        pointDiag_.push_back(extractPointDiag(l));
       // makeBlockJacobi consumes the blocks (factored in place); the raw
       // diag is not needed afterwards.
       dinv_.push_back(makeBlockJacobi(hier_->meshAt(l), ndof_,
@@ -411,19 +410,6 @@ class Gmg {
     }
   }
 
-  Field extractPointDiag(int l) {
-    const Mesh<DIM>& m = hier_->meshAt(l);
-    const int nd = ndof_;
-    Field pd = m.makeField(nd);
-    for (int rk = 0; rk < m.nRanks(); ++rk) {
-      const std::size_t nn = m.rank(rk).nNodes();
-      for (std::size_t i = 0; i < nn; ++i)
-        for (int d = 0; d < nd; ++d)
-          pd[rk][i * nd + d] = ops_[l].diag[rk][i * nd * nd + d * nd + d];
-    }
-    return pd;
-  }
-
   /// Power iteration for the largest eigenvalue of D^-1 A. The seed is a
   /// smooth function of the (globally consistent) node coordinates, so it
   /// is ghost-consistent by construction and identical for any partition of
@@ -521,9 +507,9 @@ class Gmg {
     addScaled(x, 1.0, d);
   }
 
-  /// Damped (block-)Jacobi: x += omega * D^-1 (b - A x) per sweep.
-  void smoothJacobi(int l, const Field& b, Field& x, int sweeps,
-                    bool xZero) {
+  /// Damped block-Jacobi: x += omega * D^-1 (b - A x) per sweep.
+  void smoothBlockJacobi(int l, const Field& b, Field& x, int sweeps,
+                         bool xZero) {
     const GmgLevelOps<DIM>& o = ops_[l];
     Field& Ax = wsAx_[l];
     Field& r = wsR_[l];
@@ -535,16 +521,7 @@ class Gmg {
         o.op(x, Ax);
         subInto(b, Ax, r);
       }
-      if (opt_.smoother == GmgSmoother::kJacobi) {
-        const Field& pd = pointDiag_[l];
-        for (std::size_t rk = 0; rk < t.size(); ++rk)
-          for (std::size_t i = 0; i < t[rk].size(); ++i) {
-            const Real dv = pd[rk][i];
-            t[rk][i] = (std::abs(dv) > 1e-300) ? r[rk][i] / dv : r[rk][i];
-          }
-      } else {
-        dinv_[l](r, t);
-      }
+      dinv_[l](r, t);
       addScaled(x, opt_.omega, t);
     }
   }
@@ -555,7 +532,7 @@ class Gmg {
     if (opt_.smoother == GmgSmoother::kChebyshev)
       smoothChebyshev(l, b, x, sweeps, xZero);
     else
-      smoothJacobi(l, b, x, sweeps, xZero);
+      smoothBlockJacobi(l, b, x, sweeps, xZero);
     obsAdd("gmg.l" + std::to_string(l) + ".smooth_sec", t0);
   }
 
@@ -662,7 +639,6 @@ class Gmg {
   int ndof_ = 1;
   std::vector<GmgLevelOps<DIM>> ops_;
   std::vector<LinOp<Field>> dinv_;   ///< factored block-Jacobi per level
-  std::vector<Field> pointDiag_;     ///< kJacobi only
   std::vector<Real> eig_;            ///< per-level lambda_max(D^-1 A)
   std::vector<Field> wsAx_, wsR_, wsT_, wsD_, wsB_, wsX_;
   std::unique_ptr<FieldSpace<DIM>> coarseSpace_;

@@ -9,12 +9,13 @@
 // b_l only triggers erosion/dilation every (b_l - l)-th visit, so coarse
 // elements erode at the same *physical* rate as fine ones.
 //
-// Because they are MATVEC-shaped, the passes run through the same ThreadPool
-// contract as fem::matvec (DESIGN.md §8/§11): simulated ranks in parallel
-// when the pool has workers, otherwise elementwise partitions inside the
-// rank. Every decision is element-private (gather from the immutable
-// current buffer + an element-local counter) and every write inserts one
-// constant value, so results are bitwise identical for any thread count.
+// Because they are MATVEC-shaped, the passes run through the same rank
+// loop as fem::matvec (sim::forEachRank, DESIGN.md §8/§11): simulated
+// ranks in parallel when the pool has workers, otherwise elementwise
+// partitions inside the rank. Every decision is element-private (gather
+// from the immutable current buffer + an element-local counter) and every
+// write inserts one constant value, so results are bitwise identical for
+// any thread count.
 // The erosion/dilation sweep additionally replaces Algorithm 2's per-step
 // `next = cur` full-field copy with ping-pong buffers plus a written-node
 // dirty list, touching only interface-adjacent and partition-shared nodes
@@ -65,24 +66,23 @@ template <int DIM>
 Field threshold(const Mesh<DIM>& mesh, const Field& phi, Real delta,
                 bool immersedNegative) {
   Field bw = mesh.makeField(1);
-  fem::matvecdetail::forEachRank(
-      mesh.nRanks(), [&](int r, bool innerThreads) {
-        auto body = [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            const bool immersed =
-                immersedNegative ? phi[r][i] <= delta : phi[r][i] >= delta;
-            bw[r][i] = immersed ? 1.0 : -1.0;
-          }
-        };
-        if (innerThreads) {
-          support::ThreadPool::instance().parallelFor(
-              phi[r].size(),
-              [&](int, std::size_t b, std::size_t e) { body(b, e); });
-        } else {
-          body(0, phi[r].size());
-        }
-        mesh.comm().chargeWork(r, phi[r].size());
-      });
+  sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
+    auto body = [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        const bool immersed =
+            immersedNegative ? phi[r][i] <= delta : phi[r][i] >= delta;
+        bw[r][i] = immersed ? 1.0 : -1.0;
+      }
+    };
+    if (innerThreads) {
+      support::ThreadPool::instance().parallelFor(
+          phi[r].size(),
+          [&](int, std::size_t b, std::size_t e) { body(b, e); });
+    } else {
+      body(0, phi[r].size());
+    }
+    mesh.comm().chargeWork(r, phi[r].size());
+  });
   return bw;
 }
 
@@ -176,7 +176,7 @@ Field erodeDilate(const Mesh<DIM>& mesh, const Field& vec, Stage stage,
   }
 
   for (int step = 0; step < numSteps; ++step) {
-    fem::matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
+    sim::forEachRank(p, [&](int r, bool innerThreads) {
       const RankMesh<DIM>& rm = mesh.rank(r);
       // Invariant entering the step: next == cur except at the nodes the
       // previous step wrote (collected in dirty) or exchanged (shared).
@@ -241,7 +241,7 @@ ElemField elementalCahn(const Mesh<DIM>& mesh, const Field& bwOriginal,
   constexpr int kC = kNumChildren<DIM>;
   const int p = mesh.nRanks();
   ElemField cn(p);
-  fem::matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
+  sim::forEachRank(p, [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     cn[r].assign(rm.nElems(), cnCoarse);
     auto body = [&](std::size_t b, std::size_t e) {
@@ -281,7 +281,7 @@ ElemField erodeDilateCahn(const Mesh<DIM>& mesh, const ElemField& cn, Level bl,
   // Elemental -> nodal marker.
   Field marker = mesh.makeField(1);
   sim::PerRank<std::vector<char>> written(p);
-  fem::matvecdetail::forEachRank(p, [&](int r, bool /*innerThreads*/) {
+  sim::forEachRank(p, [&](int r, bool /*innerThreads*/) {
     std::fill(marker[r].begin(), marker[r].end(), -1.0);
     written[r].assign(mesh.rank(r).nNodes(), 0);
     const RankMesh<DIM>& rm = mesh.rank(r);
@@ -299,7 +299,7 @@ ElemField erodeDilateCahn(const Mesh<DIM>& mesh, const ElemField& cn, Level bl,
 
   // Nodal -> elemental: any +1 node keeps / pads the reduced Cn.
   ElemField out(p);
-  fem::matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
+  sim::forEachRank(p, [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     out[r].assign(rm.nElems(), cnCoarse);
     auto body = [&](std::size_t b, std::size_t e) {
@@ -391,7 +391,7 @@ sim::PerRank<std::vector<Level>> interfaceRefineLevels(
   constexpr int kC = kNumChildren<DIM>;
   const int p = mesh.nRanks();
   sim::PerRank<std::vector<Level>> want(p);
-  fem::matvecdetail::forEachRank(p, [&](int r, bool innerThreads) {
+  sim::forEachRank(p, [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     want[r].assign(rm.nElems(), coarseLevel);
     auto body = [&](std::size_t b, std::size_t e) {

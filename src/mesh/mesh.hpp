@@ -30,7 +30,6 @@
 #include "sim/comm.hpp"
 #include "sim/sort.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 #include "support/types.hpp"
 
 namespace pt {
@@ -273,25 +272,6 @@ CellAnswer<DIM> answerCellQuery(
   return {true, leaves[idx].level, isCornerOf<DIM>(v, leaves[idx])};
 }
 
-/// Runs fn(r) for every simulated rank, in parallel over the ThreadPool when
-/// it has workers (same contract as the fem::matvec rank loop, which mesh.hpp
-/// cannot include without a cycle): each body touches only rank-r state and
-/// charges only rank r, and is itself serial — so results are bitwise
-/// identical for any thread count.
-template <typename Fn>
-void forEachRankMesh(int p, Fn&& fn) {
-  support::ThreadPool& pool = support::ThreadPool::instance();
-  if (pool.threads() > 1 && p > 1) {
-    pool.parallelFor(static_cast<std::size_t>(p),
-                     [&](int, std::size_t b, std::size_t e) {
-                       for (std::size_t r = b; r < e; ++r)
-                         fn(static_cast<int>(r));
-                     });
-  } else {
-    for (int r = 0; r < p; ++r) fn(r);
-  }
-}
-
 }  // namespace meshdetail
 
 /// Builds the MATVEC traversal plan for one rank (see ElemPlan). O(nElems *
@@ -418,7 +398,7 @@ Mesh<DIM> Mesh<DIM>::build(sim::SimComm& comm, const DistTree<DIM>& tree) {
   sim::PerRank<std::vector<std::vector<PendingQuery>>> pending(p);
   for (int r = 0; r < p; ++r) pending[r].resize(p);
 
-  meshdetail::forEachRankMesh(p, [&](int r) {
+  sim::forEachRank(p, [&](int r, bool) {
     const auto& elems = mesh.ranks_[r].elems;
     hanging[r].assign(elems.size() * kC, 0);
     std::vector<std::vector<std::uint32_t>> qBuf(p);
@@ -469,7 +449,7 @@ Mesh<DIM> Mesh<DIM>::build(sim::SimComm& comm, const DistTree<DIM>& tree) {
   // Answer remote queries in arrival order; reply payload: one byte-ish
   // word per query: 1 = hanging-evidence (found, coarser, not corner).
   sim::SparseSends<std::uint32_t> aSends(p);
-  meshdetail::forEachRankMesh(p, [&](int r) {
+  sim::forEachRank(p, [&](int r, bool) {
     const auto& elems = mesh.ranks_[r].elems;
     for (const auto& [src, buf] : qRecv[r]) {
       const std::size_t nq = buf.size() / (2 * DIM + 1);
@@ -501,7 +481,7 @@ Mesh<DIM> Mesh<DIM>::build(sim::SimComm& comm, const DistTree<DIM>& tree) {
   // ---- Phase 2: support keys and local node tables -------------------------
   // Entirely rank-local (collect keys, sort/dedup, map supports) — threaded
   // across ranks.
-  meshdetail::forEachRankMesh(p, [&](int r) {
+  sim::forEachRank(p, [&](int r, bool) {
     RankMesh<DIM>& rm = mesh.ranks_[r];
     const auto& elems = rm.elems;
     rm.cornerIsHanging = hanging[r];
@@ -690,7 +670,7 @@ Mesh<DIM> Mesh<DIM>::build(sim::SimComm& comm, const DistTree<DIM>& tree) {
   }
 
   // ---- Phase 6: MATVEC traversal plans (local, no communication) -----------
-  meshdetail::forEachRankMesh(p, [&](int r) {
+  sim::forEachRank(p, [&](int r, bool) {
     buildElemPlan(mesh.ranks_[r]);
     comm.chargeWork(r, 2.0 * kC * mesh.ranks_[r].nElems());
   });

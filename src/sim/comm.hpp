@@ -1,11 +1,12 @@
 // SimComm: a bulk-synchronous simulated communicator over P ranks.
 //
 // Every distributed algorithm in PhaseTree is written SPMD-style against
-// this interface: per-rank data lives in PerRank<> containers, collectives
-// and exchanges move real data between ranks, and each operation charges the
-// alpha-beta machine model so that the simulated clock reproduces the
-// communication behaviour the paper reports (tree collectives, staged k-way
-// exchanges, NBX sparse exchange vs dense Alltoall, memoized Comm_split).
+// this interface: per-rank data lives in PerRank<> containers, per-rank
+// work runs through forEachRank, collectives and exchanges move real data
+// between ranks, and each operation charges the alpha-beta machine model
+// so that the simulated clock reproduces the communication behaviour the
+// paper reports (tree collectives, staged k-way exchanges, NBX sparse
+// exchange vs dense Alltoall, memoized Comm_split).
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
+#include "support/thread_pool.hpp"
 #include "support/types.hpp"
 
 namespace pt::sim {
@@ -26,6 +29,26 @@ namespace pt::sim {
 /// One entry per simulated rank.
 template <typename T>
 using PerRank = std::vector<T>;
+
+/// Runs fn(r, innerThreads) for every simulated rank r: ranks in parallel
+/// when the pool has workers and there are multiple ranks (each rank then
+/// serial inside), otherwise in rank order with intra-rank threading
+/// enabled. A body touches only rank-r state and charges only rank r, so
+/// results are bitwise identical for any thread count.
+template <typename Fn>
+void forEachRank(int p, Fn&& fn) {
+  auto& pool = support::ThreadPool::instance();
+  if (pool.threads() > 1 && p > 1) {
+    pool.parallelFor(static_cast<std::size_t>(p),
+                     [&fn](int, std::size_t b, std::size_t e) {
+                       PT_SPAN("rank-loop");
+                       for (std::size_t r = b; r < e; ++r)
+                         fn(static_cast<int>(r), false);
+                     });
+  } else {
+    for (int r = 0; r < p; ++r) fn(r, pool.threads() > 1);
+  }
+}
 
 /// Sparse message batch: per source rank, a list of (destination, payload).
 template <typename T>
@@ -106,14 +129,6 @@ class SimComm {
   const Machine& machine() const { return machine_; }
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
-
-  /// Engine-level overlap gate (DESIGN.md §15). When set, the matvec and
-  /// ghost-exchange paths that have a split-phase variant use it; when
-  /// clear they run the historical blocking epochs. Owned by the options
-  /// layer (ChnsOptions::commOverlap); raw SimComm users default to
-  /// blocking so existing call sites are untouched.
-  bool overlapEnabled() const { return overlap_; }
-  void setOverlapEnabled(bool on) { overlap_ = on; }
 
   /// Simulated elapsed time = the slowest rank's clock.
   double time() const {
@@ -468,7 +483,6 @@ class SimComm {
   bool faultArmed_ = false;
   int faultRank_ = 0;
   long faultCountdown_ = 0;
-  bool overlap_ = false;
 };
 
 }  // namespace pt::sim

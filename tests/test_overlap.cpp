@@ -1,7 +1,7 @@
 // Split-phase communication (DESIGN.md §15): exchange clock-credit
-// semantics, ghost/accumulate epoch edge cases, bitwise identity of the
-// overlap MATVEC engines and async transfer epoch against the blocking
-// paths, and solver-history identity with commOverlap on vs off.
+// semantics, ghost/accumulate epoch edge cases, and bitwise identity of the
+// split-phase MATVEC engines and the async transfer epoch against one-pass
+// references with blocking exchanges.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -209,7 +209,7 @@ TEST(GhostSplitPhase, EmptyRankHasZeroGhosts) {
   checkGhostEpochs(comm, mesh, 2);
 }
 
-// ---- MATVEC engines: overlap on/off bitwise identity ------------------------
+// ---- MATVEC engines: bitwise identity with one-pass references -------------
 
 template <int DIM>
 void checkIndexedOverlap(int p, int ndof) {
@@ -220,28 +220,31 @@ void checkIndexedOverlap(int p, int ndof) {
     helmholtzKernel<DIM>(oct, in, out, ndof);
   };
 
-  comm.setOverlapEnabled(false);
+  // Reference: matvecNaive, a one-pass traversal with a blocking
+  // accumulate.
   comm.resetClocks();
   const long collBefore = comm.stats().collectives;
   Field y0 = mesh.makeField(ndof);
-  fem::matvec<DIM>(mesh, x, y0, ndof, kernel);
-  const double tBlocking = comm.time();
-  const long collBlocking = comm.stats().collectives - collBefore;
+  fem::matvecNaive<DIM>(mesh, x, y0, ndof, kernel);
+  const double tRef = comm.time();
+  const long collRef = comm.stats().collectives - collBefore;
 
-  comm.setOverlapEnabled(true);
   comm.resetClocks();
   const long collMid = comm.stats().collectives;
+  const double hiddenBefore = comm.stats().overlapHidden;
   Field y1 = mesh.makeField(ndof);
   fem::matvec<DIM>(mesh, x, y1, ndof, kernel);
-  const double tOverlap = comm.time();
-  const long collOverlap = comm.stats().collectives - collMid;
+  const double tEngine = comm.time();
+  const long collEngine = comm.stats().collectives - collMid;
 
-  expectFieldsEq(y0, y1, "matvecIndexed overlap vs blocking");
-  EXPECT_LE(tOverlap, tBlocking * (1.0 + 1e-12));
+  expectFieldsEq(y0, y1, "matvecIndexed vs matvecNaive");
+  EXPECT_LE(tEngine, tRef * (1.0 + 1e-12));
   // Same number of collective completions either way (split accumulate =
   // finish + ghostRead, blocking = exchange + ghostRead).
-  EXPECT_EQ(collOverlap, collBlocking);
-  if (p > 1) EXPECT_GT(comm.stats().overlapHidden, 0.0);
+  EXPECT_EQ(collEngine, collRef);
+  if (p > 1) {
+    EXPECT_GT(comm.stats().overlapHidden, hiddenBefore);
+  }
 }
 
 TEST(MatvecOverlap, IndexedBitwiseAcrossThreads2D) {
@@ -254,7 +257,7 @@ TEST(MatvecOverlap, IndexedBitwiseAcrossThreads2D) {
 
 TEST(MatvecOverlap, IndexedBitwise3DAndSingleRank) {
   checkIndexedOverlap<3>(3, 1);
-  checkIndexedOverlap<2>(1, 2);  // p=1: overlap path must degrade cleanly
+  checkIndexedOverlap<2>(1, 2);  // p=1: the one-pass body
 }
 
 template <int DIM>
@@ -273,20 +276,21 @@ void checkCoefBlocksOverlap(int p, int ndof) {
   }
   Field x = smoothInput(mesh, ndof);
 
-  comm.setOverlapEnabled(false);
+  // Reference: the one-pass body followed by a blocking accumulate.
   comm.resetClocks();
   Field y0 = mesh.makeField(ndof);
-  fem::matvecCoefBlocks<DIM>(mesh, x, y0, ndof, cM, cK);
-  const double tBlocking = comm.time();
+  fem::matvecdetail::coefBlocksOnePass<DIM>(mesh, x, y0, ndof, cM, cK,
+                                            fem::simdIsa());
+  mesh.accumulate(y0, ndof);
+  const double tRef = comm.time();
 
-  comm.setOverlapEnabled(true);
   comm.resetClocks();
   Field y1 = mesh.makeField(ndof);
   fem::matvecCoefBlocks<DIM>(mesh, x, y1, ndof, cM, cK);
-  const double tOverlap = comm.time();
+  const double tEngine = comm.time();
 
-  expectFieldsEq(y0, y1, "matvecCoefBlocks overlap vs blocking");
-  EXPECT_LE(tOverlap, tBlocking * (1.0 + 1e-12));
+  expectFieldsEq(y0, y1, "matvecCoefBlocks vs one-pass body");
+  EXPECT_LE(tEngine, tRef * (1.0 + 1e-12));
 }
 
 TEST(MatvecOverlap, CoefBlocksBitwiseAcrossThreads) {
@@ -346,7 +350,6 @@ TEST(TransferOverlap, NodalManyMatchesSequential) {
       t1 = intergrid::gatherTransferTables(oldDt1);
       t2 = intergrid::gatherTransferTables(oldDt2);
     }
-    c1.setOverlapEnabled(false);
     const long coll1Before = c1.stats().collectives;
     Field sa = intergrid::transferNodal(oldM1, a1, newM1, 1,
                                         useTables ? &t1 : nullptr);
@@ -354,7 +357,6 @@ TEST(TransferOverlap, NodalManyMatchesSequential) {
                                         useTables ? &t1 : nullptr);
     const long coll1 = c1.stats().collectives - coll1Before;
 
-    c2.setOverlapEnabled(true);
     const long coll2Before = c2.stats().collectives;
     auto many = intergrid::transferNodalMany<2>(
         oldM2, {{&a2, 1}, {&b2, 2}}, newM2, useTables ? &t2 : nullptr);
@@ -365,13 +367,22 @@ TEST(TransferOverlap, NodalManyMatchesSequential) {
     // The async epoch must not change the collective count: 2 exchanges
     // per field (+1 allgather per field without tables).
     EXPECT_EQ(coll2, coll1);
+
+    // An empty field list transfers nothing and costs nothing.
+    const long collEmptyBefore = c2.stats().collectives;
+    const double tEmptyBefore = c2.time();
+    auto none = intergrid::transferNodalMany<2>(oldM2, {}, newM2,
+                                                useTables ? &t2 : nullptr);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(c2.stats().collectives, collEmptyBefore);
+    EXPECT_EQ(c2.time(), tEmptyBefore);
   }
 }
 
-// ---- Solver histories: commOverlap on vs off --------------------------------
+// ---- Solver histories across thread counts ---------------------------------
 
 template <int DIM>
-chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm, bool overlap) {
+chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm) {
   chns::ChnsOptions<DIM> opt;
   opt.params.Cn = 0.03;
   opt.dt = 1e-3;
@@ -381,7 +392,6 @@ chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm, bool overlap) {
   opt.interfaceLevel = 5;
   opt.featureLevel = 5;
   opt.referenceLevel = 5;
-  opt.commOverlap = overlap;
   auto tree = DistTree<DIM>::fromGlobal(comm, uniformTree<DIM>(4));
   chns::ChnsSolver<DIM> s(comm, std::move(tree), opt);
   s.setInitialCondition([&](const VecN<DIM>& x) {
@@ -390,40 +400,12 @@ chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm, bool overlap) {
   return s;
 }
 
-TEST(SolverOverlap, HistoriesIdenticalOverlapVsBlocking) {
-  sim::SimComm c1(2, sim::Machine::loopback());
-  sim::SimComm c2(2, sim::Machine::loopback());
-  auto block = makeDropSolver<2>(c1, false);
-  auto over = makeDropSolver<2>(c2, true);
-  EXPECT_FALSE(c1.overlapEnabled());
-  EXPECT_TRUE(c2.overlapEnabled());
-  for (int step = 0; step < 3; ++step) {
-    block.step();
-    over.step();
-    EXPECT_EQ(block.lastChNewton_.totalLinearIterations,
-              over.lastChNewton_.totalLinearIterations);
-    EXPECT_EQ(block.lastNs_.iterations, over.lastNs_.iterations);
-    EXPECT_EQ(block.lastPp_.iterations, over.lastPp_.iterations);
-    EXPECT_EQ(block.lastVuIterations_, over.lastVuIterations_);
-    for (int r = 0; r < block.mesh().nRanks(); ++r) {
-      EXPECT_EQ(block.tree().localOf(r), over.tree().localOf(r))
-          << "step " << step << " rank " << r;
-      EXPECT_EQ(block.phi()[r], over.phi()[r]) << "step " << step;
-      EXPECT_EQ(block.velocity()[r], over.velocity()[r]) << "step " << step;
-      EXPECT_EQ(block.pressure()[r], over.pressure()[r]) << "step " << step;
-      EXPECT_EQ(block.elemCn()[r], over.elemCn()[r]) << "step " << step;
-    }
-  }
-  // The remesh fast path must have stayed active alongside overlap.
-  EXPECT_EQ(block.noopRemeshes(), over.noopRemeshes());
-}
-
 #ifdef PT_MATVEC_TIMERS
 TEST(SolverOverlap, MatvecPhasesRouteToSolverTelemetry) {
   // The solver installs a MatvecPhaseScope per step, so engine phase laps
   // land in ITS telemetry (job-separable).
   sim::SimComm comm(2, sim::Machine::loopback());
-  auto s = makeDropSolver<2>(comm, true);
+  auto s = makeDropSolver<2>(comm);
   const long ownBefore = s.timers()["kernel"].calls();
   s.step();
   EXPECT_GT(s.timers()["kernel"].calls(), ownBefore);
@@ -432,13 +414,13 @@ TEST(SolverOverlap, MatvecPhasesRouteToSolverTelemetry) {
 
 TEST(SolverOverlap, ThreadedOverlapMatchesSerial) {
   sim::SimComm c1(2, sim::Machine::loopback());
-  auto serial = makeDropSolver<2>(c1, true);
+  auto serial = makeDropSolver<2>(c1);
   serial.step();
   serial.step();
 
   sim::SimComm c2(2, sim::Machine::loopback());
   ThreadGuard tg(4);
-  auto threaded = makeDropSolver<2>(c2, true);
+  auto threaded = makeDropSolver<2>(c2);
   threaded.step();
   threaded.step();
 

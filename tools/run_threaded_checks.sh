@@ -39,10 +39,11 @@
 #    indexing run exactly as shipped.
 # 9. The overlap stage (DESIGN.md §15): the split-phase communication
 #    suite — exchange clock-credit semantics, ghost/accumulate epoch edge
-#    cases, MATVEC and transfer on/off bitwise gates, solver-history
-#    identity — serial, with the pool at 4 threads, and under tsan at 4
-#    threads (the two-pass engines drive the same per-rank partitions the
-#    blocking paths race through the pool).
+#    cases, the split-phase MATVEC engines and async transfer epoch
+#    against their one-pass references, solver histories across thread
+#    counts — serial, with the pool at 4 threads, and under tsan at 4
+#    threads (the two-pass engines race their per-rank partitions through
+#    the pool).
 # 10. The farm stage (DESIGN.md §14): the scenario-farm suite serial, with
 #    the pool at 4 threads (concurrent jobs, racing init-state cache,
 #    work-stealing task queue), under tsan at 4 threads (the shared
@@ -59,6 +60,12 @@
 #    The solve families' preconditioner closures capture the family and
 #    the mesh by reference, so one that outlived a remesh would show here
 #    as a heap-use-after-free.
+# 13. The bench-gates stage: bench/run_scaling_bench.sh (fig4a: the
+#    split-phase MATVEC bitwise against matvecNaive at 1..16 simulated
+#    ranks on a 3D mesh, its clock never above the reference's) and
+#    bench/run_solver_bench.sh (fig5: thread invariance of the fallback and
+#    GMG configurations, and GMG on the fallback's fixed point), each with
+#    its BENCH_*.json schema-checked.
 #
 # Usage: ./tools/run_threaded_checks.sh [extra ctest args]
 set -euo pipefail
@@ -127,9 +134,9 @@ cmake --build --preset release-ubsan \
 ctest --preset release-ubsan -R 'test_(simd_kernels|highorder|matvec_plan)$' "$@"
 
 echo "== overlap: split-phase comm suite (serial, threads=4, tsan) =="
-# The bitwise on/off gate (DESIGN.md §15): every overlap engine — split
+# The bitwise gate (DESIGN.md §15): every split-phase engine — split
 # accumulate, two-pass matvecIndexed/matvecCoefBlocks, async transfer
-# epoch, commOverlap solver histories — must match the blocking path
+# epoch — must match its one-pass reference with blocking exchanges
 # exactly, serial and with the pool at 4 threads, and run clean under tsan.
 ctest --preset release -R 'test_overlap$' "$@"
 ctest --preset release-threads -R 'test_overlap$' "$@"
@@ -155,5 +162,9 @@ cmake --build --preset asan \
   -- -j"$(nproc)"
 ctest --preset asan \
   -R 'test_(gmg|chns|ksp_threading|remesh_fastpath)$' "$@"
+
+echo "== bench gates: fig4a and fig5 correctness gates, schema-checked =="
+./bench/run_scaling_bench.sh
+./bench/run_solver_bench.sh
 
 echo "threaded checks passed"
