@@ -11,16 +11,22 @@
 //                   recorded — the calibration series).
 //   farm-1t         the same scenarios through the farm on a serial
 //                   pool — isolates the farm layer's own overhead
-//                   (task queue, hashing, cache, bookkeeping), gated
-//                   at <= 10% over sequential.
+//                   (task queue, hashing, cache, bookkeeping).
 //   farm-4t         the same scenarios as concurrent farm jobs on a
 //                   4-thread pool (job-level parallelism; each job's
 //                   nested parallelFor calls run inline).
 //
+// Timing. One sample of each config is too noisy to gate on a shared
+// host, so the bench runs kRounds rounds: an interleaved sequential-1t /
+// farm-1t pair (alternating which side goes first), then farm-4t. The
+// farm-layer overhead gate bounds the median per-round ratio
+// farm-1t / sequential-1t at <= 1.10; every sample, with the medians and
+// quartiles, goes to the JSON.
+//
 // Throughput claim. On a host with >= 4 cores the >= 2.5x
-// scenarios-per-hour gate is measured directly from the farm-4t wall
-// time. On smaller hosts (this repo's reference box has one core, where
-// 4 OS threads cannot beat serial wall-clock — same caveat as the
+// scenarios-per-hour gate is measured directly: the median per-round
+// ratio sequential-1t / farm-4t. On hosts with fewer hardware threads
+// (where 4 OS threads cannot beat serial wall-clock — same caveat as the
 // Fig 4/5 single-node benches) the gate is projected with the repo's
 // established modeling honesty (bench/scaling_model.hpp): the measured
 // per-job sequential times are dealt over 4 workers exactly as the
@@ -60,20 +66,31 @@
 
 // Global allocation counter for the zero-steady-state-allocation gate.
 // Counting is toggled only around the measured call on the main thread.
+// The nothrow forms are replaced too: std::stable_sort's buffer comes from
+// nothrow new, and leaving it on the library's allocator while the plain
+// delete goes to free() is an alloc-dealloc mismatch under ASan.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 namespace {
 std::atomic<bool> g_countAllocs{false};
 std::atomic<long> g_allocs{0};
+
+void* countedAlloc(std::size_t n) noexcept {
+  if (g_countAllocs.load(std::memory_order_relaxed))
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
-  if (g_countAllocs.load(std::memory_order_relaxed))
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = countedAlloc(n)) return p;
   throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return countedAlloc(n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 #include "farm/farm.hpp"
 #include "obs/report.hpp"
@@ -88,6 +105,7 @@ constexpr int kFarmThreads = 4;
 constexpr int kSteps = 4;
 constexpr int kCkEvery = 2;
 constexpr int kCkKeep = 2;
+constexpr int kRounds = 5;
 
 double now() {
   return std::chrono::duration<double>(
@@ -128,18 +146,24 @@ struct SeqResult {
   Real finalVel = 0;          ///< velocity fingerprint after the last step
 };
 
-}  // namespace
+/// Linearly interpolated q-quantile of v (0 <= q <= 1).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
 
-int main() {
-  support::requireReleaseBuild("fig9_scenario_farm");
-  const std::vector<farm::ScenarioSpec> specs = sweep();
-
-  // --- sequential baseline: one job after another, serial pool ---------
+/// sequential-1t: the sweep one job after another on the serial pool.
+/// Returns the wall time; fills each job's history and wall time.
+double runSequential(const std::vector<farm::ScenarioSpec>& specs,
+                     std::vector<SeqResult>& seq,
+                     std::vector<double>& jobSec) {
   std::filesystem::remove_all("bench_farm_seq");
-  support::ThreadPool::instance().setThreads(1);
-  std::vector<SeqResult> seq(specs.size());
-  std::vector<double> seqJobSec(specs.size(), 0);
-  const double tSeq0 = now();
+  seq.assign(specs.size(), {});
+  jobSec.assign(specs.size(), 0);
+  const double t0 = now();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const double tJob0 = now();
     sim::SimComm comm(specs[i].ranks, sim::Machine::loopback());
@@ -154,43 +178,43 @@ int main() {
           farm::fieldFingerprint(s.phi(), s.mesh().nRanks()));
     }
     seq[i].finalVel = farm::fieldFingerprint(s.velocity(), s.mesh().nRanks());
-    seqJobSec[i] = now() - tJob0;
+    jobSec[i] = now() - tJob0;
   }
-  const double seqSec = now() - tSeq0;
-  std::printf("sequential-1t: %zu scenarios in %.2f s\n", specs.size(),
-              seqSec);
+  return now() - t0;
+}
 
-  // --- farm on a serial pool: the farm layer's own overhead ------------
+/// farm-1t: the same sweep through the farm on the serial pool, job for
+/// job the same work as sequential-1t. Returns the wall time, or a
+/// negative value if a job did not finish.
+double runFarmSerial(const std::vector<farm::ScenarioSpec>& specs) {
   std::filesystem::remove_all("bench_farm_ck1");
-  double farm1Sec = 0;
-  {
-    farm::ScenarioFarm::Options fopt1;
-    fopt1.rootDir = "bench_farm_ck1";
-    fopt1.ckEvery = kCkEvery;
-    fopt1.ckKeep = kCkKeep;
-    fopt1.shareInitState = false;  // same work as sequential, job for job
-    farm::ScenarioFarm f1(fopt1);
-    for (const auto& spec : specs) f1.addJob(spec);
-    const double t0 = now();
-    f1.run();
-    farm1Sec = now() - t0;
-    if (f1.countState(farm::JobState::kDone) != int(specs.size())) {
-      std::fprintf(stderr, "FAIL: farm-1t did not drain all jobs\n");
-      return 1;
-    }
-  }
-  const double overhead = farm1Sec / seqSec - 1.0;
-  std::printf("farm-1t:       %zu scenarios in %.2f s  (farm overhead "
-              "%+.1f%%, gate <= 10%%)\n",
-              specs.size(), farm1Sec, overhead * 100);
-  if (overhead > 0.10) {
-    std::fprintf(stderr,
-                 "FAIL: farm layer overhead %.1f%% over sequential\n",
-                 overhead * 100);
-    return 1;
-  }
+  farm::ScenarioFarm::Options fopt;
+  fopt.rootDir = "bench_farm_ck1";
+  fopt.ckEvery = kCkEvery;
+  fopt.ckKeep = kCkKeep;
+  fopt.shareInitState = false;
+  farm::ScenarioFarm f(fopt);
+  for (const auto& spec : specs) f.addJob(spec);
+  const double t0 = now();
+  f.run();
+  const double sec = now() - t0;
+  return f.countState(farm::JobState::kDone) == int(specs.size()) ? sec : -1;
+}
 
-  // --- farm: same scenarios, concurrent jobs on 4 threads --------------
+/// One farm-4t run: its wall time (negative when a job failed or diverged
+/// from its sequential run) and what the report keeps of it.
+struct FarmRun {
+  double sec = -1;
+  long cacheHits = 0, cacheMisses = 0;
+  int jobsDone = 0;
+  std::vector<double> jobWallSec;
+};
+
+/// farm-4t: the sweep as concurrent farm jobs on a kFarmThreads pool, with
+/// the shared init-state cache. Every job's per-step phi fingerprints and
+/// final velocity fingerprint must equal its sequential run bitwise.
+FarmRun runFarmThreaded(const std::vector<farm::ScenarioSpec>& specs,
+                        const std::vector<SeqResult>& seq) {
   std::filesystem::remove_all("bench_farm_ck");
   support::ThreadPool::instance().setThreads(kFarmThreads);
   farm::ScenarioFarm::Options fopt;
@@ -205,28 +229,24 @@ int main() {
   };
   farm::ScenarioFarm f(fopt);
   for (const auto& spec : specs) f.addJob(spec);
-  const double tFarm0 = now();
+  const double t0 = now();
   f.run();
-  const double farmSec = now() - tFarm0;
+  const double sec = now() - t0;
   support::ThreadPool::instance().setThreads(1);
-  std::printf("farm-%dt:       %zu scenarios in %.2f s  (init cache: %ld "
-              "hits, %ld misses)\n",
-              kFarmThreads, specs.size(), farmSec, f.initCacheHits(),
-              f.initCacheMisses());
 
-  // --- correctness gate: bitwise identity per job ----------------------
+  FarmRun out;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const farm::JobRecord& rec = f.job(int(i));
     if (rec.state != farm::JobState::kDone) {
       std::fprintf(stderr, "FAIL: job %zu (%s) retired %s: %s\n", i,
                    specs[i].name.c_str(), farm::jobStateName(rec.state),
                    rec.error.c_str());
-      return 1;
+      return out;
     }
     if (rec.history.size() != seq[i].history.size()) {
       std::fprintf(stderr, "FAIL: job %zu history length %zu != %zu\n", i,
                    rec.history.size(), seq[i].history.size());
-      return 1;
+      return out;
     }
     for (std::size_t k = 0; k < seq[i].history.size(); ++k)
       if (rec.history[k] != seq[i].history[k]) {
@@ -235,7 +255,7 @@ int main() {
                      "sequential %.17g (must be bitwise identical)\n",
                      i, specs[i].name.c_str(), k + 1, rec.history[k],
                      seq[i].history[k]);
-        return 1;
+        return out;
       }
     if (farmFinalVel[i] != seq[i].finalVel) {
       std::fprintf(stderr,
@@ -243,12 +263,93 @@ int main() {
                    "sequential %.17g\n",
                    i, specs[i].name.c_str(), farmFinalVel[i],
                    seq[i].finalVel);
+      return out;
+    }
+    out.jobWallSec.push_back(rec.wallSec);
+  }
+  out.sec = sec;
+  out.cacheHits = f.initCacheHits();
+  out.cacheMisses = f.initCacheMisses();
+  out.jobsDone = f.countState(farm::JobState::kDone);
+  return out;
+}
+
+}  // namespace
+
+int main() {
+  support::requireReleaseBuild("fig9_scenario_farm");
+  const std::vector<farm::ScenarioSpec> specs = sweep();
+
+  // --- kRounds rounds of sequential-1t / farm-1t pairs, then farm-4t ---
+  // Interleaving and alternating the pair order make a drift in host
+  // speed over the run load every config alike.
+  support::ThreadPool::instance().setThreads(1);
+  std::vector<SeqResult> seq;
+  std::vector<std::vector<double>> jobSamples(specs.size());
+  std::vector<double> seqSamples, farm1Samples, overheads, farmSamples,
+      speedups;
+  FarmRun farm4;
+  for (int k = 0; k < kRounds; ++k) {
+    std::vector<SeqResult> seqK;
+    std::vector<double> jobK;
+    double tSeq = 0, tFarm1 = 0;
+    if (k % 2 == 0) {
+      tSeq = runSequential(specs, seqK, jobK);
+      tFarm1 = runFarmSerial(specs);
+    } else {
+      tFarm1 = runFarmSerial(specs);
+      tSeq = runSequential(specs, seqK, jobK);
+    }
+    if (tFarm1 < 0) {
+      std::fprintf(stderr, "FAIL: farm-1t did not drain all jobs\n");
       return 1;
     }
+    if (k == 0) seq = std::move(seqK);
+    farm4 = runFarmThreaded(specs, seq);
+    if (farm4.sec < 0) return 1;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      jobSamples[i].push_back(jobK[i]);
+    seqSamples.push_back(tSeq);
+    farm1Samples.push_back(tFarm1);
+    overheads.push_back(tFarm1 / tSeq - 1.0);
+    farmSamples.push_back(farm4.sec);
+    speedups.push_back(tSeq / farm4.sec);
+    std::printf("round %d (%s first): sequential-1t %.2f s, farm-1t %.2f s "
+                "(%+.1f%%), farm-%dt %.2f s (%.2fx)\n",
+                k + 1, k % 2 == 0 ? "sequential" : "farm", tSeq, tFarm1,
+                overheads.back() * 100, kFarmThreads, farm4.sec,
+                speedups.back());
   }
+  std::vector<double> seqJobSec(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    seqJobSec[i] = quantile(jobSamples[i], 0.5);
+  const double seqSec = quantile(seqSamples, 0.5);
+  const double farm1Sec = quantile(farm1Samples, 0.5);
+  const double overhead = quantile(overheads, 0.5);
+  const double overheadQ1 = quantile(overheads, 0.25);
+  const double overheadQ3 = quantile(overheads, 0.75);
+  const double farmSec = quantile(farmSamples, 0.5);
+  std::printf("sequential-1t: %zu scenarios in %.2f s (median of %d)\n",
+              specs.size(), seqSec, kRounds);
+  std::printf("farm-1t:       %zu scenarios in %.2f s (median of %d; farm "
+              "overhead median %+.1f%%, quartiles %+.1f%% .. %+.1f%%, gate "
+              "<= 10%%)\n",
+              specs.size(), farm1Sec, kRounds, overhead * 100,
+              overheadQ1 * 100, overheadQ3 * 100);
+  std::printf("farm-%dt:       %zu scenarios in %.2f s (median of %d; init "
+              "cache: %ld hits, %ld misses)\n",
+              kFarmThreads, specs.size(), farmSec, kRounds, farm4.cacheHits,
+              farm4.cacheMisses);
   std::printf("per-job histories and final fields bitwise identical to "
-              "sequential (%d jobs x %d steps)\n",
-              kJobs, kSteps);
+              "sequential (%d jobs x %d steps, %d farm-%dt runs)\n",
+              kJobs, kSteps, kRounds, kFarmThreads);
+  if (overhead > 0.10) {
+    std::fprintf(stderr,
+                 "FAIL: farm layer overhead %.1f%% over sequential (median "
+                 "of %d pairs)\n",
+                 overhead * 100, kRounds);
+    return 1;
+  }
 
   // --- zero-steady-state-allocation gate (sequential control run) ------
   // A warm job's farm bookkeeping — phi fingerprint + history slot — must
@@ -280,7 +381,7 @@ int main() {
   std::printf("steady-state farm bookkeeping: 0 heap allocations\n");
 
   // --- throughput -------------------------------------------------------
-  const double measuredSpeedup = seqSec / farmSec;
+  const double measuredSpeedup = quantile(speedups, 0.5);
   const double seqPerHour = specs.size() / (seqSec / 3600.0);
   const double farmPerHour = specs.size() / (farmSec / 3600.0);
 
@@ -294,7 +395,7 @@ int main() {
   for (double t : sorted)
     *std::min_element(load.begin(), load.end()) += t;
   const double projectedSec =
-      *std::max_element(load.begin(), load.end()) * (farm1Sec / seqSec);
+      *std::max_element(load.begin(), load.end()) * (1.0 + overhead);
   const double projectedSpeedup = seqSec / projectedSec;
 
   const bool canMeasure =
@@ -325,7 +426,10 @@ int main() {
     obs::BenchConfig c;
     c.name = "sequential-1t";
     c.metrics["wall_sec"] = seqSec;
+    c.metrics["wall_sec_q1"] = quantile(seqSamples, 0.25);
+    c.metrics["wall_sec_q3"] = quantile(seqSamples, 0.75);
     c.metrics["scenarios_per_hour"] = seqPerHour;
+    c.series["wall_sec_samples"] = seqSamples;
     for (double t : seqJobSec) c.series["job_wall_sec"].push_back(t);
     for (const auto& r : seq) c.series["final_phi"].push_back(r.history.back());
     rep.configs.push_back(std::move(c));
@@ -334,20 +438,29 @@ int main() {
     obs::BenchConfig c;
     c.name = "farm-1t";
     c.metrics["wall_sec"] = farm1Sec;
+    c.metrics["wall_sec_q1"] = quantile(farm1Samples, 0.25);
+    c.metrics["wall_sec_q3"] = quantile(farm1Samples, 0.75);
     c.metrics["farm_overhead_frac"] = overhead;
+    c.metrics["farm_overhead_frac_q1"] = overheadQ1;
+    c.metrics["farm_overhead_frac_q3"] = overheadQ3;
+    c.series["wall_sec_samples"] = farm1Samples;
+    c.series["farm_overhead_frac_samples"] = overheads;
     rep.configs.push_back(std::move(c));
   }
   {
     obs::BenchConfig c;
     c.name = "farm-4t";
     c.metrics["wall_sec"] = farmSec;
+    c.metrics["wall_sec_q1"] = quantile(farmSamples, 0.25);
+    c.metrics["wall_sec_q3"] = quantile(farmSamples, 0.75);
     c.metrics["scenarios_per_hour"] = farmPerHour;
-    c.counters["init_cache_hits"] = f.initCacheHits();
-    c.counters["init_cache_misses"] = f.initCacheMisses();
-    c.counters["jobs_done"] = f.countState(farm::JobState::kDone);
+    c.counters["init_cache_hits"] = farm4.cacheHits;
+    c.counters["init_cache_misses"] = farm4.cacheMisses;
+    c.counters["jobs_done"] = farm4.jobsDone;
     c.counters["steady_bookkeeping_allocs"] = bookkeepingAllocs;
-    for (int i = 0; i < f.jobCount(); ++i)
-      c.series["job_wall_sec"].push_back(f.job(i).wallSec);
+    c.series["wall_sec_samples"] = farmSamples;
+    c.series["speedup_samples"] = speedups;
+    c.series["job_wall_sec"] = farm4.jobWallSec;
     rep.configs.push_back(std::move(c));
   }
   rep.derived["speedup_farm_measured"] = measuredSpeedup;

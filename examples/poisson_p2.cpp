@@ -3,8 +3,8 @@
 //
 //   u - Laplace(u) = f   on the unit square, natural (Neumann) BC,
 //
-// with the manufactured solution u*(x) = prod_d cos(2 pi x_d) (zero normal
-// derivative on every face, so the natural BC is exact) and the matching
+// with the manufactured solution u*(x) = prod_d cos(2 pi x_d) (zero
+// Neumann data on every face, so the natural BC is exact) and the matching
 // f = (1 + DIM * 4 pi^2) u*. The solve runs GMRES on the degree-2 PSpace
 // with the two-level p-multigrid preconditioner: damped Jacobi on the p = 2
 // diagonal wrapped around a p = 1 coarse correction through the full

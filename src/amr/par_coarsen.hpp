@@ -50,19 +50,6 @@ std::vector<std::uint32_t> packItems(
 }
 
 template <int DIM>
-std::vector<OctWithLevel<DIM>> unpackItems(
-    const std::vector<std::uint32_t>& buf) {
-  std::vector<OctWithLevel<DIM>> items(buf.size() / (DIM + 2));
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    auto& it = items[i];
-    for (int d = 0; d < DIM; ++d) it.oct.x[d] = buf[i * (DIM + 2) + d];
-    it.oct.level = static_cast<Level>(buf[i * (DIM + 2) + DIM]);
-    it.accept = static_cast<Level>(buf[i * (DIM + 2) + DIM + 1]);
-  }
-  return items;
-}
-
-template <int DIM>
 OctList<DIM> octsOf(const std::vector<OctWithLevel<DIM>>& items) {
   OctList<DIM> o(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) o[i] = items[i].oct;

@@ -71,17 +71,4 @@ Real jetPhi(const VecN<DIM>& x, Real R, Real tip, Real eps,
   return tanhProfile(sd, eps);
 }
 
-/// Array of ndrop drops along x (used by weak-scaling style workloads).
-template <int DIM>
-Real dropArrayPhi(const VecN<DIM>& x, int ndrops, Real R, Real eps) {
-  Real phi = 1.0;
-  for (int i = 0; i < ndrops; ++i) {
-    VecN<DIM> c{};
-    for (int d = 0; d < DIM; ++d) c[d] = 0.5;
-    c[0] = (i + 0.5) / ndrops;
-    phi = phaseUnion(phi, dropPhi<DIM>(x, c, R, eps));
-  }
-  return phi;
-}
-
 }  // namespace pt::apps

@@ -34,7 +34,6 @@ struct Params {
     return ((rhoPlus - rhoMinus) / (2 * rhoPlus)) * c +
            (rhoPlus + rhoMinus) / (2 * rhoPlus);
   }
-  Real drhoDphi() const { return (rhoPlus - rhoMinus) / (2 * rhoPlus); }
 
   Real eta(Real phi) const {
     const Real c = clamp(phi);

@@ -164,7 +164,6 @@ class ChnsSolver {
     postStepHook_ = std::move(hook);
     postStepEvery_ = every;
   }
-  void clearPostStepHook() { postStepHook_ = nullptr; }
 
   /// Runs the full invariant suite (tree, mesh, alignment, all solver
   /// fields) and throws CheckError on any violation, naming `where`.
@@ -310,9 +309,7 @@ class ChnsSolver {
           intergrid::gatherTransferTables(tree_);
       // The four nodal fields go through one async epoch: all query
       // exchanges posted up front, answers pipelined against in-flight
-      // replies (falls back to sequential blocking calls when overlap is
-      // off — same exchanges, values, and collective counts either way).
-      // The cell transfer stays sequential: its second round is
+      // replies. The cell transfer stays sequential: its second round is
       // data-dependent on the first round's coverage results.
       std::vector<Field> nodal = intergrid::transferNodalMany<DIM>(
           *mesh_,

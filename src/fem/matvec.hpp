@@ -11,7 +11,7 @@
 // ElemKernel alias remains for callers that need runtime dispatch
 // (matvecNaive keeps the original unplanned loop as the golden reference).
 //
-// Threading (PT_THREADS + support/thread_pool.hpp): ranks are independent
+// Threading (support/thread_pool.hpp): ranks are independent
 // until Mesh::accumulate, so multiple simulated ranks run in parallel; a
 // single rank splits its element range into windows whose kernels are
 // evaluated in parallel into per-window scratch, then scattered

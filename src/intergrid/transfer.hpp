@@ -1,25 +1,19 @@
 // Distributed multi-level inter-grid transfer (paper Sec II-C2).
 //
-// Three entry points:
+// Two entry points:
 //  - transferNodal:      query-based transfer of node-centered data between
 //                        two meshes differing by arbitrarily many levels in
 //                        both directions at once (the remeshing workhorse:
 //                        coarse-to-fine interpolation and fine-to-coarse
 //                        injection are both "evaluate the old field at the
 //                        new node position").
-//  - transferNodalPush:  the paper's four-step push structure for the
-//                        refinement direction: ⊑ searches over the splitter
-//                        endpoint tables find grid-grid partition overlaps,
-//                        coarse element nodes are *detached* with the
-//                        flag-gather trick (no per-element duplication) and
-//                        sent to the fine partition, which runs the serial
-//                        SFC-merge interpolation locally.
 //  - transferCell*:      cell-centered copy (coarse->fine) and volume-
-//                        weighted averaging (fine->coarse).
+//                        weighted averaging (fine->coarse); its ⊑ searches
+//                        over the partition endpoint tables find the
+//                        grid-grid partition overlaps.
 #pragma once
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "fem/matvec.hpp"
@@ -290,143 +284,6 @@ std::vector<Field> transferNodalMany(const Mesh<DIM>& oldMesh,
     auto aRecv = comm.exchangeFinish(ah[f]);
     out[f] = newMesh.makeField(fs[f].ndof);
     detail::scatterNodalAnswers(aRecv, qs[f], fs[f].ndof, out[f]);
-  }
-  return out;
-}
-
-/// Push-based coarse-to-fine transfer (the paper's four-step structure).
-/// Requires every new leaf to be a descendant-or-equal of an old leaf
-/// (pure refinement). Steps: (1) ⊑ search of grid-grid overlaps in the
-/// endpoint tables, (2) detach coarse element nodes per destination with
-/// shared-node flags, (3) serial interpolation on the fine partition.
-template <int DIM>
-Field transferNodalPush(const Mesh<DIM>& oldMesh, const Field& oldF,
-                        const Mesh<DIM>& newMesh, int ndof) {
-  sim::SimComm& comm = oldMesh.comm();
-  const int p = comm.size();
-  constexpr int kC = kNumChildren<DIM>;
-
-  auto newEnds = PartitionEndpoints<DIM>::fromLocals(
-      p, [&](int r) -> const OctList<DIM>& { return newMesh.rank(r).elems; });
-  comm.allgather(sim::PerRank<Octant<DIM>>(p));  // endpoint table gather
-
-  // Step 1+2: each old rank routes (octant, corner-values) data to the new
-  // ranks its interval overlaps; nodes are detached once per destination
-  // via flag-gather (a node shared by many destined elements is packed once).
-  struct Packet {
-    std::vector<std::uint32_t> octs;   // (x[DIM], level) per element
-    std::vector<std::uint32_t> keys;   // DIM per node
-    std::vector<Real> vals;            // ndof per node
-  };
-  sim::PerRank<std::vector<std::pair<int, Packet>>> packets(p);
-  std::vector<Real> gath(kC * ndof);
-  for (int r = 0; r < p; ++r) {
-    const RankMesh<DIM>& orm = oldMesh.rank(r);
-    if (orm.elems.empty()) continue;
-    auto dsts = overlappedRanks(newEnds, orm.elems.front(), orm.elems.back());
-    for (int q : dsts) {
-      auto [i0, i1] = overlappedLocalRange(orm.elems, newEnds.first[q],
-                                           newEnds.last[q]);
-      if (i0 >= i1) continue;
-      Packet pkt;
-      // Flags over local nodes: set once per destination process, then
-      // gather flagged nodes contiguously (Sec II-C2e).
-      std::vector<char> flag(orm.nNodes(), 0);
-      std::vector<std::pair<NodeKey<DIM>, std::array<Real, 8>>> packed;
-      for (std::size_t e = i0; e < i1; ++e) {
-        const Octant<DIM>& oct = orm.elems[e];
-        for (int d = 0; d < DIM; ++d) pkt.octs.push_back(oct.x[d]);
-        pkt.octs.push_back(oct.level);
-        fem::gatherElem(orm, e, oldF[r], ndof, gath.data());
-        for (int c = 0; c < kC; ++c) {
-          // Flag the corner by its first support node (corner identity is
-          // the vertex key; hanging corners carry their interpolated value).
-          const NodeKey<DIM> k = cornerKey(oct, c);
-          // Dedup via a map from key; the flag array covers real nodes,
-          // hanging corners dedup through the map.
-          (void)flag;
-          std::array<Real, 8> v{};
-          for (int d = 0; d < ndof; ++d) v[d] = gath[c * ndof + d];
-          packed.emplace_back(k, v);
-        }
-      }
-      std::sort(packed.begin(), packed.end(),
-                [](const auto& a, const auto& b) {
-                  return NodeKeyLess<DIM>{}(a.first, b.first);
-                });
-      packed.erase(std::unique(packed.begin(), packed.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.first == b.first;
-                               }),
-                   packed.end());
-      for (const auto& [k, v] : packed) {
-        for (int d = 0; d < DIM; ++d) pkt.keys.push_back(k[d]);
-        for (int d = 0; d < ndof; ++d) pkt.vals.push_back(v[d]);
-      }
-      packets[r].emplace_back(q, std::move(pkt));
-    }
-    comm.chargeWork(r, 30.0 * kC * orm.nElems());
-  }
-  // Ship (charged as one sparse exchange; payload = octs + keys + vals).
-  sim::SparseSends<Real> wire(p);
-  for (int r = 0; r < p; ++r)
-    for (auto& [q, pkt] : packets[r]) {
-      std::vector<Real> flat;
-      flat.push_back(static_cast<Real>(pkt.octs.size()));
-      flat.push_back(static_cast<Real>(pkt.keys.size()));
-      for (auto v : pkt.octs) flat.push_back(static_cast<Real>(v));
-      for (auto v : pkt.keys) flat.push_back(static_cast<Real>(v));
-      flat.insert(flat.end(), pkt.vals.begin(), pkt.vals.end());
-      wire[r].emplace_back(q, std::move(flat));
-    }
-  auto recv = comm.sparseExchange(wire);
-
-  // Step 3: serial interpolation on the new (fine) partition.
-  Field out = newMesh.makeField(ndof);
-  for (int r = 0; r < p; ++r) {
-    OctList<DIM> oldOcts;
-    std::map<NodeKey<DIM>, std::vector<Real>, NodeKeyLess<DIM>> nodeVals;
-    for (const auto& [src, flat] : recv[r]) {
-      std::size_t at = 0;
-      const std::size_t nOct = static_cast<std::size_t>(flat[at++]);
-      const std::size_t nKey = static_cast<std::size_t>(flat[at++]);
-      for (std::size_t i = 0; i < nOct; i += DIM + 1) {
-        Octant<DIM> o;
-        for (int d = 0; d < DIM; ++d)
-          o.x[d] = static_cast<std::uint32_t>(flat[at++]);
-        o.level = static_cast<Level>(flat[at++]);
-        oldOcts.push_back(o);
-      }
-      std::vector<NodeKey<DIM>> keys(nKey / DIM);
-      for (auto& k : keys)
-        for (int d = 0; d < DIM; ++d)
-          k[d] = static_cast<std::uint32_t>(flat[at++]);
-      for (const auto& k : keys) {
-        std::vector<Real> v(ndof);
-        for (int d = 0; d < ndof; ++d) v[d] = flat[at++];
-        nodeVals[k] = std::move(v);
-      }
-    }
-    sortOctants(oldOcts);
-    const RankMesh<DIM>& nrm = newMesh.rank(r);
-    if (nrm.nNodes() == 0) continue;
-    PT_CHECK_MSG(!oldOcts.empty() || nrm.nElems() == 0,
-                 "fine rank received no coarse data");
-    std::vector<Real> corner(kC * ndof);
-    for (std::size_t li = 0; li < nrm.nNodes(); ++li) {
-      const auto cell = detail::cellPointForKey<DIM>(nrm.nodeKeys[li]);
-      const std::int64_t e = locatePoint(oldOcts, cell);
-      PT_CHECK_MSG(e >= 0, "received coarse octants do not cover new node");
-      const Octant<DIM>& oct = oldOcts[e];
-      for (int c = 0; c < kC; ++c) {
-        auto it = nodeVals.find(cornerKey(oct, c));
-        PT_CHECK_MSG(it != nodeVals.end(), "missing detached corner node");
-        for (int d = 0; d < ndof; ++d) corner[c * ndof + d] = it->second[d];
-      }
-      detail::evalInElement<DIM>(oct, corner.data(), ndof, nrm.nodeKeys[li],
-                                 &out[r][li * ndof]);
-    }
-    comm.chargeWork(r, 80.0 * nrm.nNodes() * ndof);
   }
   return out;
 }

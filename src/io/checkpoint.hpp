@@ -20,10 +20,8 @@
 // sliced to the tree's actual post-repartition leaf counts, so cell data
 // can never drift out of alignment with the leaves).
 //
-// Legacy v1 files (magic PHTREE1) still load through the same bounded
-// reader; they simply lack checksums, so corruption there is caught by the
-// semantic validation pass (sorted keys, linear leaves, matching counts,
-// finite values) instead of a CRC.
+// Only format v2 loads: a file with any other magic, including the
+// retired unchecksummed v1 (magic PHTREE1), is a typed kBadMagic.
 #pragma once
 
 #include <algorithm>
@@ -203,9 +201,8 @@ Checkpoint<DIM> makeCheckpoint(
 
 /// Checks the internal consistency a restore relies on: linear leaf list,
 /// aligned octant anchors, strictly sorted node keys (lower_bound lookups
-/// assume it), matching value counts, and finite values. For v1 files this
-/// is the only corruption defense; for v2 it backstops the CRC against
-/// writer bugs.
+/// assume it), matching value counts, and finite values. It backstops the
+/// v2 CRCs against writer bugs.
 template <int DIM>
 CkStatus validateCheckpoint(const Checkpoint<DIM>& ck) {
   using S = CkStatus;
@@ -267,13 +264,12 @@ CkStatus validateCheckpoint(const Checkpoint<DIM>& ck) {
 // indirectly — corrupting them changes what the CRC is computed over. A
 // single flipped bit anywhere in a v2 file is therefore detected.
 //
-// Payloads (native endianness, like v1):
+// Payloads (native endianness):
 //   leaves: u64 count, per leaf DIM x u64 anchor + u64 level
 //   nodal:  u64 ndof, u64 nKeys, keys (DIM x u64 each), values (Real)
 //   cell:   u64 count, values (Real)
 //   meta:   u64 count, per entry u64 nameLen + name + u64 value
 
-inline constexpr std::uint64_t kCkMagicV1 = 0x50485452454531ull;  // "PHTREE1"
 inline constexpr std::uint64_t kCkMagicV2 = 0x50485452454532ull;  // "PHTREE2"
 inline constexpr std::uint64_t kCkVersion = 2;
 
@@ -445,42 +441,6 @@ void saveCheckpoint(const std::string& path, const Checkpoint<DIM>& ck) {
     throw CheckpointError(
         CkStatus::fail(CkCode::kWriteFailed, "rename failed: " + path));
   }
-}
-
-/// Legacy v1 writer (no checksums, not atomic). Kept so tests can pin that
-/// v1 files remain loadable; new code should use saveCheckpoint.
-template <int DIM>
-void saveCheckpointV1(const std::string& path, const Checkpoint<DIM>& ck) {
-  std::ofstream os(path, std::ios::binary);
-  PT_CHECK_MSG(os.good(), "cannot open checkpoint file " + path);
-  auto w64 = [&](std::uint64_t v) { os.write(reinterpret_cast<char*>(&v), 8); };
-  auto wreal = [&](Real v) { os.write(reinterpret_cast<char*>(&v), sizeof v); };
-  w64(kCkMagicV1);
-  w64(DIM);
-  w64(ck.writerRanks);
-  w64(ck.leaves.size());
-  for (const auto& o : ck.leaves) {
-    for (int d = 0; d < DIM; ++d) w64(o.x[d]);
-    w64(o.level);
-  }
-  w64(ck.nodal.size());
-  for (const auto& nf : ck.nodal) {
-    w64(nf.name.size());
-    os.write(nf.name.data(), nf.name.size());
-    w64(nf.ndof);
-    w64(nf.keys.size());
-    for (const auto& k : nf.keys)
-      for (int d = 0; d < DIM; ++d) w64(k[d]);
-    for (Real v : nf.values) wreal(v);
-  }
-  w64(ck.cell.size());
-  for (const auto& cf : ck.cell) {
-    w64(cf.name.size());
-    os.write(cf.name.data(), cf.name.size());
-    w64(cf.values.size());
-    for (Real v : cf.values) wreal(v);
-  }
-  PT_CHECK_MSG(os.good(), "checkpoint write failed: " + path);
 }
 
 // ---------------------------------------------------------------------------
@@ -673,50 +633,6 @@ CkStatus parseV2(Cursor& c, Checkpoint<DIM>& ck) {
   return {};
 }
 
-template <int DIM>
-CkStatus parseV1(Cursor& c, Checkpoint<DIM>& ck) {
-  std::uint64_t dim = 0, wr = 0;
-  if (!c.u64(dim) || !c.u64(wr))
-    return CkStatus::fail(CkCode::kTruncated, "header");
-  if (dim != static_cast<std::uint64_t>(DIM))
-    return CkStatus::fail(CkCode::kDimMismatch,
-                          "file DIM " + std::to_string(dim));
-  if (wr < 1 || wr > (1u << 24))
-    return CkStatus::fail(CkCode::kBadCount, "writerRanks out of range");
-  ck.writerRanks = static_cast<int>(wr);
-  CkStatus st = parseLeaves<DIM>(c, ck.leaves);
-  if (!st.ok()) return st;
-  std::uint64_t nNodal = 0;
-  if (!c.u64(nNodal))
-    return CkStatus::fail(CkCode::kTruncated, "nodal field count");
-  if (nNodal > c.remaining() / 24)
-    return CkStatus::fail(CkCode::kBadCount, "nodal field count");
-  for (std::uint64_t i = 0; i < nNodal; ++i) {
-    typename Checkpoint<DIM>::NodalField nf;
-    if (!readName(c, nf.name, 4096))
-      return CkStatus::fail(CkCode::kTruncated, "nodal field name");
-    st = parseNodal<DIM>(c, nf);
-    if (!st.ok()) return st;
-    ck.nodal.push_back(std::move(nf));
-  }
-  std::uint64_t nCell = 0;
-  if (!c.u64(nCell))
-    return CkStatus::fail(CkCode::kTruncated, "cell field count");
-  if (nCell > c.remaining() / 16)
-    return CkStatus::fail(CkCode::kBadCount, "cell field count");
-  for (std::uint64_t i = 0; i < nCell; ++i) {
-    typename Checkpoint<DIM>::CellField cf;
-    if (!readName(c, cf.name, 4096))
-      return CkStatus::fail(CkCode::kTruncated, "cell field name");
-    st = parseCellValues(c, cf.values);
-    if (!st.ok()) return st;
-    ck.cell.push_back(std::move(cf));
-  }
-  if (c.remaining() != 0)
-    return CkStatus::fail(CkCode::kBadSection, "trailing bytes after file");
-  return {};
-}
-
 }  // namespace ckdetail
 
 template <int DIM>
@@ -725,8 +641,8 @@ struct CkLoad {
   Checkpoint<DIM> ck;
 };
 
-/// Loads a checkpoint (v2 or legacy v1) with every read bounded by the
-/// actual file size, section checksums verified (v2), and the semantic
+/// Loads a v2 checkpoint with every read bounded by the actual file size,
+/// the header and section checksums verified, and the semantic
 /// validation pass applied. Never throws on corrupt input — the status
 /// carries the typed failure.
 template <int DIM>
@@ -761,8 +677,6 @@ CkLoad<DIM> tryLoadCheckpointFile(const std::string& path) {
   }
   if (magic == kCkMagicV2)
     out.status = parseV2<DIM>(c, out.ck);
-  else if (magic == kCkMagicV1)
-    out.status = parseV1<DIM>(c, out.ck);
   else
     out.status = CkStatus::fail(CkCode::kBadMagic, path);
   if (out.status.ok()) out.status = validateCheckpoint<DIM>(out.ck);

@@ -70,17 +70,20 @@ enum class GmgSmoother {
   kBlockJacobi,  ///< damped node-block Jacobi (factored blocks)
 };
 
+/// Smoother constants shared by every hierarchy: sweeps before and after
+/// the coarse correction, and the block-Jacobi damping.
+inline constexpr int kGmgPreSmooth = 2;
+inline constexpr int kGmgPostSmooth = 2;
+inline constexpr Real kGmgJacobiOmega = 0.7;
+/// Chebyshev interval [kGmgEigLoFrac*lam, kGmgEigHiSafety*lam] around the
+/// power-iteration estimate lam of the largest eigenvalue of D^-1 A.
+inline constexpr int kGmgPowerIterations = 8;
+inline constexpr Real kGmgEigLoFrac = 0.25;
+inline constexpr Real kGmgEigHiSafety = 1.1;
+
 struct GmgOptions {
   int levels = 3;  ///< including the fine level
-  int preSmooth = 2;
-  int postSmooth = 2;
   GmgSmoother smoother = GmgSmoother::kChebyshev;
-  Real omega = 0.7;  ///< damping for the block-Jacobi smoother
-  /// Chebyshev interval [eigLoFrac*lam, eigHiSafety*lam] around the power-
-  /// iteration estimate lam of the largest eigenvalue of D^-1 A.
-  int powerIterations = 8;
-  Real eigLoFrac = 0.25;
-  Real eigHiSafety = 1.1;
   KspOptions coarseSolve{.rtol = 1e-8, .maxIterations = 200};
   bool coarseBicgstab = false;  ///< nonsymmetric coarse systems
   Level minLevel = 1;           ///< do not coarsen octants below this
@@ -447,7 +450,7 @@ class Gmg {
     if (nrm < 1e-300) return lam;
     for (int rk = 0; rk < m.nRanks(); ++rk)
       for (Real& x : v[rk]) x /= nrm;
-    for (int it = 0; it < opt_.powerIterations; ++it) {
+    for (int it = 0; it < kGmgPowerIterations; ++it) {
       o.op(v, Av);
       dinv_[l](Av, t);
       nrm = std::sqrt(m.dot(t, t, nd));
@@ -462,16 +465,16 @@ class Gmg {
     return lam;
   }
 
-  /// Chebyshev(deg) on the interval [eigLoFrac, eigHiSafety] * lam of
-  /// D^-1 A (the standard three-term recurrence; one operator application
-  /// per degree). `xZero` skips the initial residual matvec.
+  /// Chebyshev(deg) on the interval [kGmgEigLoFrac, kGmgEigHiSafety] * lam
+  /// of D^-1 A (the standard three-term recurrence; one operator
+  /// application per degree). `xZero` skips the initial residual matvec.
   void smoothChebyshev(int l, const Field& b, Field& x, int deg,
                        bool xZero) {
     if (deg <= 0) return;
     const GmgLevelOps<DIM>& o = ops_[l];
     const Real lam = eig_[l];
-    const Real hi = opt_.eigHiSafety * lam;
-    const Real lo = opt_.eigLoFrac * lam;
+    const Real hi = kGmgEigHiSafety * lam;
+    const Real lo = kGmgEigLoFrac * lam;
     const Real theta = 0.5 * (hi + lo);
     const Real delta = 0.5 * (hi - lo);
     const Real sigma = theta / delta;
@@ -507,7 +510,7 @@ class Gmg {
     addScaled(x, 1.0, d);
   }
 
-  /// Damped block-Jacobi: x += omega * D^-1 (b - A x) per sweep.
+  /// Damped block-Jacobi: x += kGmgJacobiOmega * D^-1 (b - A x) per sweep.
   void smoothBlockJacobi(int l, const Field& b, Field& x, int sweeps,
                          bool xZero) {
     const GmgLevelOps<DIM>& o = ops_[l];
@@ -522,7 +525,7 @@ class Gmg {
         subInto(b, Ax, r);
       }
       dinv_[l](r, t);
-      addScaled(x, opt_.omega, t);
+      addScaled(x, kGmgJacobiOmega, t);
     }
   }
 
@@ -585,7 +588,7 @@ class Gmg {
       coarseSolve(l, b, x);
       return;
     }
-    smooth(l, b, x, opt_.preSmooth, /*xZero=*/true);
+    smooth(l, b, x, kGmgPreSmooth, /*xZero=*/true);
     // Residual -> next coarser level (injection + weak-residual scaling).
     const Mesh<DIM>& fine = hier_->meshAt(l);
     const Mesh<DIM>& coarse = hier_->meshAt(l + 1);
@@ -615,7 +618,7 @@ class Gmg {
       addScaled(x, 1.0, ef);
       obsAdd("gmg.l" + std::to_string(l) + ".prolong_sec", t0);
     }
-    smooth(l, b, x, opt_.postSmooth, /*xZero=*/false);
+    smooth(l, b, x, kGmgPostSmooth, /*xZero=*/false);
   }
 
   // Wall-clock sampling for the per-level obs histograms; compiled to

@@ -18,12 +18,14 @@ struct NewtonResult {
   int totalLinearIterations = 0;
 };
 
+/// Fixed step damping factor: every iteration takes the full Newton step.
+inline constexpr Real kNewtonDamping = 1.0;
+
 struct NewtonOptions {
   Real rtol = 1e-8;
   Real atol = 1e-12;
   int maxIterations = 20;
   KspOptions linear{};
-  Real damping = 1.0;  ///< fixed step damping factor
 };
 
 /// Solves F(u) = 0. residual(u, F) evaluates F; makeJacobianOp(u) returns
@@ -64,7 +66,7 @@ NewtonResult newton(
     S.axpy(negF, -1.0, F);
     KspResult lin = gmres(S, J, negF, du, opt.linear, M ? &M : nullptr, &wsp);
     res.totalLinearIterations += lin.iterations;
-    S.axpy(u, opt.damping, du);
+    S.axpy(u, kNewtonDamping, du);
     residual(u, F);
     res.residualNorm = S.norm(F);
     res.iterations = it;

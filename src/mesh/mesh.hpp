@@ -97,12 +97,6 @@ struct ElemPlan {
   bool built() const { return !slot.empty() || isPure.empty(); }
   std::size_t nPure() const { return pureElems.size(); }
   std::size_t nHanging() const { return hangingElems.size(); }
-  /// Fraction of elements whose scatter must precede the ghost exchange.
-  double boundaryFraction() const {
-    return isPure.empty()
-               ? 0.0
-               : static_cast<double>(nBoundaryElems) / isPure.size();
-  }
 };
 
 /// The per-rank portion of a distributed mesh.
@@ -216,13 +210,7 @@ class Mesh {
   // ---- Reductions over owned nodes ---------------------------------------
 
   Real dot(const Field& a, const Field& b, int ndof = 1) const;
-  Real norm2(const Field& a, int ndof = 1) const {
-    return std::sqrt(dot(a, a, ndof));
-  }
   Real maxAbs(const Field& a) const;
-
-  /// Number of global DOFs for an ndof-component field.
-  GlobalIdx globalDofs(int ndof) const { return globalNodes_ * ndof; }
 
  private:
   sim::SimComm* comm_ = nullptr;

@@ -125,20 +125,11 @@ class PhaseSet {
 /// interned) — it is handed to the tracer.
 class TimedSpan {
  public:
-  TimedSpan(PhaseSet& set, const char* name)
-      : lap_(set[name])
-#ifdef PT_OBS
-        ,
-        span_(name)
-#endif
-  {
-  }
+  TimedSpan(PhaseSet& set, const char* name) : lap_(set[name]), span_(name) {}
 
  private:
   ScopedPhase lap_;
-#ifdef PT_OBS
   SpanScope span_;
-#endif
 };
 
 }  // namespace pt::obs

@@ -16,13 +16,11 @@ namespace pt::obs {
 template <typename Comm>
 struct Telemetry {
   Telemetry() {
-#ifdef PT_OBS
     Tracer::initFromEnv();
     // PT_RANK_STATS=1 turns on per-rank phase attribution (off by default:
     // it snapshots size() clocks per instrumented phase).
     if (const char* p = std::getenv("PT_RANK_STATS"))
       if (p[0] == '1') ranks.setEnabled(true);
-#endif
   }
 
   PhaseSet phases;

@@ -11,8 +11,7 @@
 //
 // Overhead contract: with the tracer disabled (the default), PT_SPAN is one
 // relaxed atomic load and a branch — asserted below measurement noise by
-// tests/test_obs.cpp. With PT_OBS undefined at compile time the macro
-// vanishes entirely. The tracer is enabled either programmatically
+// tests/test_obs.cpp. The tracer is enabled either programmatically
 // (Tracer::instance().enable()) or by setting PT_TRACE=<path> in the
 // environment, which also registers an atexit hook that writes the trace
 // file when the process ends.
@@ -309,12 +308,7 @@ struct SpanScope {
 
 // PT_SPAN(name): opens a span for the rest of the enclosing scope. `name`
 // must outlive the trace flush — use a string literal or Tracer::intern.
-// Compiled out entirely when PT_OBS is not defined (CMake option PT_OBS).
-#ifdef PT_OBS
-#define PT_OBS_CONCAT_(a, b) a##b
-#define PT_OBS_CONCAT(a, b) PT_OBS_CONCAT_(a, b)
+#define PT_SPAN_CONCAT_(a, b) a##b
+#define PT_SPAN_CONCAT(a, b) PT_SPAN_CONCAT_(a, b)
 #define PT_SPAN(name) \
-  ::pt::obs::SpanScope PT_OBS_CONCAT(ptSpan_, __LINE__)(name)
-#else
-#define PT_SPAN(name) ((void)0)
-#endif
+  ::pt::obs::SpanScope PT_SPAN_CONCAT(ptSpan_, __LINE__)(name)

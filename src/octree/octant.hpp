@@ -188,12 +188,6 @@ struct SfcLess {
   }
 };
 
-/// Equality as SFC keys (same octant).
-template <int DIM>
-bool sfcEqual(const Octant<DIM>& a, const Octant<DIM>& b) {
-  return a == b;
-}
-
 /// Coarsest common ancestor of two octants.
 template <int DIM>
 Octant<DIM> commonAncestor(const Octant<DIM>& a, const Octant<DIM>& b) {

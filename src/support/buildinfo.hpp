@@ -50,16 +50,6 @@ inline bool buildIsBenchmarkable() {
 // On non-x86 targets (or non-GNU compilers) the scalar tier is the only one
 // compiled, and simdIsaName() reports "scalar".
 
-/// True when the ISA-dispatch tiers (AVX2/AVX-512 target clones) are
-/// compiled into this binary at all.
-inline constexpr bool simdDispatchCompiled() {
-#if defined(__x86_64__) && defined(__GNUC__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 namespace buildinfodetail {
 inline int detectSimdTier() {
   int tier = 0;  // 0 = scalar, 1 = avx2, 2 = avx512

@@ -25,10 +25,6 @@ class Rng {
     return std::uniform_real_distribution<Real>(lo, hi)(eng_);
   }
 
-  Real normal(Real mean = 0.0, Real stddev = 1.0) {
-    return std::normal_distribution<Real>(mean, stddev)(eng_);
-  }
-
   bool bernoulli(Real p) { return std::bernoulli_distribution(p)(eng_); }
 
   std::mt19937_64& engine() { return eng_; }

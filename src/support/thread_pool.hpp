@@ -8,12 +8,10 @@
 //     (not the thread id) — there is no work stealing and no atomic
 //     tie-breaking, so a given (n, threads()) pair always yields the same
 //     partition geometry.
-//  2. Opt-in: compiled out to a serial stub unless PT_THREADS is defined
-//     (CMake option, ON by default); even then the pool starts with one
-//     participant unless PT_NUM_THREADS is set in the environment or
-//     setThreads() is called. A single-participant pool never spawns
-//     threads and runs partitions inline, so default builds and runs behave
-//     exactly like the pre-pool code.
+//  2. Opt-in: the pool starts with one participant unless PT_NUM_THREADS
+//     is set in the environment or setThreads() is called. A
+//     single-participant pool never spawns threads and runs partitions
+//     inline, so default runs behave exactly like the pre-pool code.
 //  3. Re-entrancy safety: parallelFor called from inside a worker (nested
 //     parallelism) degrades to inline serial execution instead of
 //     deadlocking on the pool's own queue.
@@ -36,28 +34,21 @@
 // (bitwise identical to a serial run of the same task).
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <utility>
-
-#ifdef PT_THREADS
-#include <atomic>
-#include <cassert>
-#include <condition_variable>
-#include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
-#endif
 
 namespace pt::support {
-
-#ifdef PT_THREADS
 
 class ThreadPool {
  public:
@@ -402,60 +393,5 @@ class TaskQueue {
   std::atomic<long> outstanding_{0};
   std::exception_ptr firstErr_;
 };
-
-#else  // !PT_THREADS — serial stub with the same interface.
-
-class ThreadPool {
- public:
-  static ThreadPool& instance() {
-    static ThreadPool pool;
-    return pool;
-  }
-  int threads() const { return 1; }
-  void setThreads(int) {}
-  static bool inWorker() { return false; }
-
-  template <typename F>
-  void parallelFor(std::size_t n, F&& fn) {
-    if (n > 0) fn(0, std::size_t{0}, n);
-  }
-
-  static std::pair<std::size_t, std::size_t> partition(std::size_t n,
-                                                       int parts, int part) {
-    const std::size_t b = n * part / parts;
-    const std::size_t e = n * (part + 1) / parts;
-    return {b, e};
-  }
-};
-
-/// Serial task queue with the threaded interface: run() drains FIFO on the
-/// calling thread; tasks may submit further tasks mid-drain.
-class TaskQueue {
- public:
-  explicit TaskQueue(ThreadPool&) {}
-  void submit(std::function<void()> task) { q_.push_back(std::move(task)); }
-  void run() {
-    while (!q_.empty()) {
-      std::function<void()> task = std::move(q_.front());
-      q_.pop_front();
-      try {
-        task();
-      } catch (...) {
-        if (!firstErr_) firstErr_ = std::current_exception();
-      }
-    }
-    if (firstErr_) {
-      std::exception_ptr err = firstErr_;
-      firstErr_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  }
-
- private:
-  std::deque<std::function<void()>> q_;
-  std::exception_ptr firstErr_;
-};
-
-#endif  // PT_THREADS
 
 }  // namespace pt::support

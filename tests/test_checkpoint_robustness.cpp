@@ -215,77 +215,76 @@ TEST(CheckpointV2, ZeroedSectionDetected) {
   fs::remove_all(dir);
 }
 
-TEST(CheckpointV2, V1FilesStillLoad) {
-  auto ck = smallCheckpoint(3, 3);
-  ck.meta.clear();  // v1 has no metadata section
+TEST(CheckpointV2, V1MagicIsTypedBadMagic) {
+  // The retired unchecksummed format v1 ("PHTREE1") no longer loads.
   const std::string dir = scratchDir();
-  const std::string path = dir + "/legacy.bin";
-  io::saveCheckpointV1<2>(path, ck);
-  auto ck2 = io::loadCheckpointFile<2>(path);
-  EXPECT_EQ(ck2.writerRanks, 3);
-  ASSERT_EQ(ck2.leaves.size(), ck.leaves.size());
-  ASSERT_EQ(ck2.nodal.size(), 1u);
-  EXPECT_EQ(ck2.nodal[0].values, ck.nodal[0].values);
-  ASSERT_EQ(ck2.cell.size(), 1u);
-  EXPECT_EQ(ck2.cell[0].values, ck.cell[0].values);
-  EXPECT_TRUE(ck2.meta.empty());
+  const std::string path = dir + "/v1.bin";
+  {
+    const std::uint64_t v1Magic = 0x50485452454531ull;
+    std::ofstream os(path, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(&v1Magic), 8);
+  }
+  auto lr = io::tryLoadCheckpointFile<2>(path);
+  EXPECT_EQ(lr.status.code, io::CkCode::kBadMagic);
+  EXPECT_THROW(io::loadCheckpointFile<2>(path), io::CheckpointError);
   fs::remove_all(dir);
+}
+
+/// A format-v2 file with a valid header CRC over its first 40 bytes and a
+/// valid CRC on every section, so parsing reaches the payload count checks.
+void writeCraftedV2(const std::string& path, std::uint64_t nSections,
+                    const std::vector<std::pair<std::uint64_t, std::string>>&
+                        sections) {
+  io::ckdetail::Buf b;
+  b.u64(io::kCkMagicV2);
+  b.u64(io::kCkVersion);
+  b.u64(2);  // DIM
+  b.u64(1);  // writerRanks
+  b.u64(nSections);
+  b.u64(io::ckdetail::crc32(b.b.data(), b.b.size()));
+  for (const auto& [tag, payload] : sections) {
+    const std::string name = tag == io::ckdetail::kSecNodal ? "phi" : "";
+    b.u64(tag);
+    b.str(name);
+    b.u64(payload.size());
+    b.u64(io::ckdetail::sectionCrc(tag, name, payload.data(), payload.size()));
+    b.b += payload;
+  }
+  std::ofstream os(path, std::ios::binary);
+  os.write(b.b.data(), static_cast<std::streamsize>(b.b.size()));
 }
 
 TEST(CheckpointV2, HugeDeclaredCountsAreBoundedNotAllocated) {
   // The historical bug: loadCheckpointFile resized vectors straight from
-  // on-disk counts, so a corrupt count meant bad_alloc/OOM. Craft v1 files
-  // declaring ~2^60 elements; the loader must return a typed error fast.
+  // on-disk counts, so a corrupt count meant bad_alloc/OOM. Craft
+  // checksum-valid v2 files declaring ~2^60 elements; each must reach its
+  // count bound and return a typed error fast.
   const std::string dir = scratchDir();
-  auto w64 = [](std::ofstream& os, std::uint64_t v) {
-    os.write(reinterpret_cast<const char*>(&v), 8);
+  const std::uint64_t huge = 1ull << 60;
+  auto payload = [](std::initializer_list<std::uint64_t> words) {
+    io::ckdetail::Buf b;
+    for (std::uint64_t w : words) b.u64(w);
+    return b.b;
   };
-  {  // huge leaf count
-    const std::string p = dir + "/huge_leaves.bin";
-    std::ofstream os(p, std::ios::binary);
-    w64(os, io::kCkMagicV1);
-    w64(os, 2);            // DIM
-    w64(os, 1);            // writerRanks
-    w64(os, 1ull << 60);   // leaf count
-    os.close();
-    auto lr = io::tryLoadCheckpointFile<2>(p);
-    EXPECT_EQ(lr.status.code, io::CkCode::kBadCount);
-  }
-  {  // huge nodal key count behind a valid (empty) leaves block
-    const std::string p = dir + "/huge_nodal.bin";
-    std::ofstream os(p, std::ios::binary);
-    w64(os, io::kCkMagicV1);
-    w64(os, 2);  // DIM
-    w64(os, 1);  // writerRanks
-    w64(os, 0);  // no leaves
-    w64(os, 1);  // one nodal field
-    w64(os, 3);
-    os.write("phi", 3);
-    w64(os, 1);           // ndof
-    w64(os, 1ull << 60);  // key count
-    os.close();
-    auto lr = io::tryLoadCheckpointFile<2>(p);
-    EXPECT_EQ(lr.status.code, io::CkCode::kBadCount);
-  }
-  {  // truncated legacy file: typed error, not bad_alloc
-    const std::string p = dir + "/trunc_v1.bin";
-    io::saveCheckpointV1<2>(p, smallCheckpoint(2, 2));
-    support::truncateFileTo(p, support::fileSize(p) / 3);
-    auto lr = io::tryLoadCheckpointFile<2>(p);
-    EXPECT_FALSE(lr.status.ok());
-  }
-  {  // bit-flipped legacy payload: caught by semantic validation
-    const std::string p = dir + "/flip_v1.bin";
-    auto ck = smallCheckpoint(2, 2);
-    ck.meta.clear();
-    io::saveCheckpointV1<2>(p, ck);
-    // v1 layout: 32-byte header, then per leaf DIM x u64 anchor + u64
-    // level. Flip the top bit of leaf[0]'s second anchor word: the value
-    // blows far past kMaxCoord, a guaranteed semantic violation.
-    support::flipBitInFile(p, 32 + 8 + 7, 7);
-    auto lr = io::tryLoadCheckpointFile<2>(p);
-    EXPECT_FALSE(lr.status.ok());
-  }
+  auto expectBoundedCount = [](const std::string& path,
+                               const std::string& what) {
+    auto lr = io::tryLoadCheckpointFile<2>(path);
+    EXPECT_EQ(lr.status.code, io::CkCode::kBadCount) << lr.status.str();
+    EXPECT_NE(lr.status.detail.find(what + " exceeds available bytes"),
+              std::string::npos)
+        << lr.status.str();
+  };
+  writeCraftedV2(dir + "/huge_leaves.bin", 1,
+                 {{io::ckdetail::kSecLeaves, payload({huge})}});
+  expectBoundedCount(dir + "/huge_leaves.bin", "leaf count");
+  // Huge nodal key count behind a valid (empty) leaves section.
+  writeCraftedV2(dir + "/huge_nodal.bin", 2,
+                 {{io::ckdetail::kSecLeaves, payload({0})},
+                  {io::ckdetail::kSecNodal, payload({1, huge})}});
+  expectBoundedCount(dir + "/huge_nodal.bin", "node key count");
+  writeCraftedV2(dir + "/huge_sections.bin", huge,
+                 {{io::ckdetail::kSecLeaves, payload({0})}});
+  expectBoundedCount(dir + "/huge_sections.bin", "section count");
   fs::remove_all(dir);
 }
 

@@ -178,32 +178,6 @@ TEST_P(XferP, MultiLevelJumpEqualsComposition) {
       EXPECT_NEAR(direct[r][i], step[r][i], 1e-12);
 }
 
-TEST_P(XferP, PushTransferMatchesQueryTransferOnRefinement) {
-  const auto [p, seed] = GetParam();
-  sim::SimComm comm(p, sim::Machine::loopback());
-  Rng rng(seed + 100);
-  OctList<2> coarse = randomBalancedTree<2>(rng, 4, 0.4);
-  // Pure refinement of the coarse tree (multi-level).
-  std::vector<Level> want(coarse.size());
-  for (std::size_t i = 0; i < coarse.size(); ++i)
-    want[i] =
-        static_cast<Level>(coarse[i].level + rng.uniformInt(0, 3));
-  OctList<2> fine = balanceTree(refine(coarse, want));
-  auto oldTree = DistTree<2>::fromGlobal(comm, coarse);
-  auto newTree = DistTree<2>::fromGlobal(comm, fine);
-  auto oldMesh = Mesh<2>::build(comm, oldTree);
-  auto newMesh = Mesh<2>::build(comm, newTree);
-  Field u = oldMesh.makeField();
-  fem::setByPosition<2>(oldMesh, u, 1, [](const VecN<2>& x, Real* v) {
-    v[0] = std::cos(3 * x[0]) * (1 + x[1]);
-  });
-  Field q = intergrid::transferNodal(oldMesh, u, newMesh, 1);
-  Field push = intergrid::transferNodalPush(oldMesh, u, newMesh, 1);
-  for (int r = 0; r < p; ++r)
-    for (std::size_t i = 0; i < q[r].size(); ++i)
-      EXPECT_NEAR(q[r][i], push[r][i], 1e-12) << "rank " << r;
-}
-
 TEST_P(XferP, MultiDofTransfer) {
   const auto [p, seed] = GetParam();
   sim::SimComm comm(p, sim::Machine::loopback());

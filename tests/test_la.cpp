@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "fem/bc.hpp"
+#include "fem/elem_ops.hpp"
 #include "fem/matvec.hpp"
 #include "la/ksp.hpp"
 #include "la/newton.hpp"
@@ -121,6 +122,76 @@ TEST(BsrMatrix, AddBlockAndDiagonalBlock) {
   B.diagonalBlock(0, d);
   EXPECT_DOUBLE_EQ(d[0], 0);
 }
+
+// Assembled-operator oracle for the matrix-free engine: P^T A_e P
+// assembled into a BAIJ matrix through the mesh's hanging-node supports
+// (cornerOffset/supports) must reproduce fem::matvec on a mesh with
+// hanging nodes, for every block size.
+class BsrAssemblyP : public ::testing::TestWithParam<int> {};
+
+TEST_P(BsrAssemblyP, AssembledSpmvMatchesMatrixFree) {
+  constexpr int kC = kNumChildren<2>;
+  const int bs = GetParam();
+  sim::SimComm comm(1, sim::Machine::loopback());
+  Mesh<2> mesh = makeMesh<2>(comm, 2, 5);
+  const RankMesh<2>& rm = mesh.rank(0);
+  const auto nNodes = static_cast<GlobalIdx>(rm.nNodes());
+  la::BsrMatrix A(nNodes, nNodes, bs);
+  const int n = kC * bs;
+  std::vector<Real> Ae(n * n), blk(bs * bs);
+  const auto& refM = fem::refMass<2>();
+  const auto& refK = fem::refStiffness<2>();
+  for (std::size_t e = 0; e < rm.nElems(); ++e) {
+    // Elemental mass + 0.7 * stiffness, the same on every component.
+    std::fill(Ae.begin(), Ae.end(), 0.0);
+    const Real h = rm.elems[e].physSize();
+    for (int i = 0; i < kC; ++i)
+      for (int j = 0; j < kC; ++j)
+        for (int d = 0; d < bs; ++d)
+          Ae[(i * bs + d) * n + (j * bs + d)] =
+              refM[i * kC + j] * h * h + 0.7 * refK[i * kC + j];
+    for (int c1 = 0; c1 < kC; ++c1)
+      for (int c2 = 0; c2 < kC; ++c2)
+        for (auto s1 = rm.cornerOffset[e * kC + c1];
+             s1 < rm.cornerOffset[e * kC + c1 + 1]; ++s1)
+          for (auto s2 = rm.cornerOffset[e * kC + c2];
+               s2 < rm.cornerOffset[e * kC + c2 + 1]; ++s2) {
+            const Real w = rm.supports[s1].weight * rm.supports[s2].weight;
+            for (int d1 = 0; d1 < bs; ++d1)
+              for (int d2 = 0; d2 < bs; ++d2)
+                blk[d1 * bs + d2] =
+                    w * Ae[(c1 * bs + d1) * n + (c2 * bs + d2)];
+            A.addBlock(rm.supports[s1].node, rm.supports[s2].node,
+                       blk.data());
+          }
+  }
+  A.assemblyEnd();
+  Field x = mesh.makeField(bs), yFree = mesh.makeField(bs);
+  fem::setByPosition<2>(mesh, x, bs, [bs](const VecN<2>& pos, Real* v) {
+    for (int d = 0; d < bs; ++d)
+      v[d] = std::sin(3 * pos[0] + d) * (1 + pos[1]);
+  });
+  std::vector<Real> yMat;
+  A.multiply(x[0], yMat);
+  fem::matvec<2>(mesh, x, yFree, bs,
+                 [bs](const Octant<2>& oct, const Real* in, Real* out) {
+                   Real comp[kC], res[kC], res2[kC];
+                   for (int d = 0; d < bs; ++d) {
+                     for (int c = 0; c < kC; ++c) comp[c] = in[c * bs + d];
+                     std::fill(res, res + kC, 0.0);
+                     std::fill(res2, res2 + kC, 0.0);
+                     fem::applyMass<2>(oct.physSize(), comp, res);
+                     fem::applyStiffness<2>(oct.physSize(), comp, res2);
+                     for (int c = 0; c < kC; ++c)
+                       out[c * bs + d] += res[c] + 0.7 * res2[c];
+                   }
+                 });
+  ASSERT_EQ(yMat.size(), yFree[0].size());
+  for (std::size_t i = 0; i < yMat.size(); ++i)
+    ASSERT_NEAR(yMat[i], yFree[0][i], 1e-12) << "slot " << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockSizes, BsrAssemblyP, ::testing::Values(1, 2, 3));
 
 TEST(DenseSolve, SolvesRandomSystems) {
   Rng rng(3);

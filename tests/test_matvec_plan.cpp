@@ -229,8 +229,6 @@ TEST(MatvecPlan, ThreadedMatchesSerial) {
 
 // ---- Pool lifecycle ---------------------------------------------------------
 
-#ifdef PT_THREADS
-
 // Regression: stopWorkers() bumps the job generation, so workers spawned by
 // a later setThreads() used to wake on the stale bump, run a null job, and
 // corrupt the pending-part count — releasing a subsequent parallelFor before
@@ -272,8 +270,6 @@ TEST(ThreadPool, PartitionExceptionPropagates) {
   for (char c : seen) EXPECT_EQ(c, 1);
   pool.setThreads(1);
 }
-
-#endif  // PT_THREADS
 
 // ---- Remesh rebuilds plans --------------------------------------------------
 

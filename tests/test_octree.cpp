@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "amr/refine.hpp"
 #include "octree/balance.hpp"
@@ -161,6 +162,42 @@ TYPED_TEST(OctantTyped, OverlapOrderTransitivity) {
       EXPECT_FALSE(overlapLess(z, x));
     }
   }
+}
+
+// The hierarchy property of paper Sec II-C2c, which the ⊑ overlap
+// searches rely on: for octants a, x, y with a an ancestor of x but not of
+// y, y < a <=> y < x (and a < y <=> x < y) in the Morton preorder.
+TYPED_TEST(OctantTyped, SfcHierarchyPropertyOfPaperSecIIC2c) {
+  constexpr int D = TypeParam::dim;
+  // Adaptive leaves: level 5 along an off-center sphere, level 2 elsewhere.
+  OctList<D> leaves;
+  buildTree<D>(
+      Octant<D>::root(),
+      [](const Octant<D>& o) {
+        auto c = o.centerCoords();
+        Real r2 = 0;
+        for (int d = 0; d < D; ++d) r2 += (c[d] - 0.4) * (c[d] - 0.4);
+        return std::abs(std::sqrt(r2) - 0.3) < o.physSize() ? Level(5)
+                                                             : Level(2);
+      },
+      leaves);
+  Rng pick(23);
+  int checked = 0;
+  for (int t = 0; t < 2000; ++t) {
+    const auto& x = leaves[pick.uniformInt(0, leaves.size() - 1)];
+    const Octant<D> a = x.ancestorAt(
+        static_cast<Level>(pick.uniformInt(0, x.level - 1)));
+    // y ranges over leaves and their ancestors, so it may also be a
+    // (strict) ancestor of a.
+    const auto& z = leaves[pick.uniformInt(0, leaves.size() - 1)];
+    const Octant<D> y =
+        z.ancestorAt(static_cast<Level>(pick.uniformInt(0, z.level)));
+    if (a.isAncestorOf(y)) continue;
+    EXPECT_EQ(sfcLess(y, a), sfcLess(y, x)) << a << " " << x << " " << y;
+    EXPECT_EQ(sfcLess(a, y), sfcLess(x, y)) << a << " " << x << " " << y;
+    ++checked;
+  }
+  EXPECT_GT(checked, 500);
 }
 
 // ---- Tree utilities --------------------------------------------------------

@@ -62,10 +62,14 @@
 #    as a heap-use-after-free.
 # 13. The bench-gates stage: bench/run_scaling_bench.sh (fig4a: the
 #    split-phase MATVEC bitwise against matvecNaive at 1..16 simulated
-#    ranks on a 3D mesh, its clock never above the reference's) and
+#    ranks on a 3D mesh, its clock never above the reference's),
 #    bench/run_solver_bench.sh (fig5: thread invariance of the fallback and
-#    GMG configurations, and GMG on the fallback's fixed point), each with
-#    its BENCH_*.json schema-checked.
+#    GMG configurations, and GMG on the fallback's fixed point) and
+#    bench/run_farm_bench.sh (fig9: farm jobs bitwise identical to their
+#    sequential runs, allocation-free farm bookkeeping, and over 5 rounds
+#    of interleaved runs the farm layer's median overhead at most 10% and
+#    the median 2.5x scenarios-per-hour bar), each with its BENCH_*.json
+#    schema-checked.
 #
 # Usage: ./tools/run_threaded_checks.sh [extra ctest args]
 set -euo pipefail
@@ -163,8 +167,9 @@ cmake --build --preset asan \
 ctest --preset asan \
   -R 'test_(gmg|chns|ksp_threading|remesh_fastpath)$' "$@"
 
-echo "== bench gates: fig4a and fig5 correctness gates, schema-checked =="
+echo "== bench gates: fig4a, fig5 and fig9 gates, schema-checked =="
 ./bench/run_scaling_bench.sh
 ./bench/run_solver_bench.sh
+./bench/run_farm_bench.sh
 
 echo "threaded checks passed"
