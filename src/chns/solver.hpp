@@ -234,24 +234,12 @@ class ChnsSolver {
                                              opt_.params.Cn, opt_.cnStages);
       // Refinement: stage-k features get cnStageLevels[k-1]; unflagged
       // interface elements get interfaceLevel; the far field coarsens.
-      const int p = mesh_->nRanks();
-      want.resize(p);
-      std::vector<Real> u(kC);
-      for (int r = 0; r < p; ++r) {
-        const RankMesh<DIM>& rm = mesh_->rank(r);
-        want[r].assign(rm.nElems(), opt_.coarseLevel);
-        for (std::size_t e = 0; e < rm.nElems(); ++e) {
-          fem::gatherElem(rm, e, phi_[r], 1, u.data());
-          bool nearInterface = false;
-          for (int c = 0; c < kC; ++c)
-            nearInterface =
-                nearInterface || std::abs(u[c]) < opt_.deltaStar;
-          if (!nearInterface) continue;
-          const int s = stages[r][e];
-          want[r][e] =
-              (s > 0) ? opt_.cnStageLevels[s - 1] : opt_.interfaceLevel;
-        }
-      }
+      want = localcahn::interfaceBandLevels<DIM>(
+          *mesh_, phi_, opt_.deltaStar, opt_.coarseLevel,
+          [&](int r, std::size_t e) {
+            const int s = stages[r][e];
+            return s > 0 ? opt_.cnStageLevels[s - 1] : opt_.interfaceLevel;
+          });
     }
     }  // remesh-identify
 

@@ -155,38 +155,6 @@ void scatterAddElem(const RankMesh<DIM>& rm, std::size_t e, const Real* in,
   }
 }
 
-/// Class-filtered scatter-add for the two-pass overlap engine: adds only
-/// the contributions landing on shared (`wantShared = true`) or private
-/// nodes, walking corners/supports in exactly scatterAddElem's order — so
-/// scattering an element's shared entries in pass A and its private entries
-/// in pass B reproduces the blocking scatter bit-for-bit per node.
-template <int DIM>
-void scatterAddElemClass(const RankMesh<DIM>& rm, std::size_t e,
-                         const Real* in, int ndof, std::vector<Real>& y,
-                         bool wantShared) {
-  constexpr int kC = kNumChildren<DIM>;
-  const std::vector<char>& shared = rm.plan.nodeShared;
-  if (e < rm.plan.isPure.size() && rm.plan.isPure[e]) {
-    const std::uint32_t* nodes = &rm.plan.pureNodes[rm.plan.slot[e] * kC];
-    for (int c = 0; c < kC; ++c) {
-      if ((shared[nodes[c]] != 0) != wantShared) continue;
-      Real* dst = &y[nodes[c] * ndof];
-      for (int d = 0; d < ndof; ++d) dst[d] += in[c * ndof + d];
-    }
-    return;
-  }
-  for (int c = 0; c < kC; ++c) {
-    const std::uint32_t lo = rm.cornerOffset[e * kC + c];
-    const std::uint32_t hi = rm.cornerOffset[e * kC + c + 1];
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      const auto& sup = rm.supports[s];
-      if ((shared[sup.node] != 0) != wantShared) continue;
-      for (int d = 0; d < ndof; ++d)
-        y[sup.node * ndof + d] += sup.weight * in[c * ndof + d];
-    }
-  }
-}
-
 /// INSERT-semantics elemental write: sets every support node of every
 /// corner to the given per-corner values and flags it written.
 template <int DIM>
@@ -303,6 +271,34 @@ void applyRankAdd(const RankMesh<DIM>& rm, const std::vector<Real>& x,
 
 }  // namespace matvecdetail
 
+/// Charges a MATVEC's elemental work and accumulates `y` with the ghost
+/// exchange overlapped (DESIGN.md §15): every rank charges the work of its
+/// boundary elements (ElemPlan::nBoundaryElems — the only elements that
+/// write a node another rank holds), the accumulate is posted, the interior
+/// work is charged while it is in flight, and the finish completes it. The
+/// engines compute in one pass before calling this: SimComm materializes
+/// the payloads when the exchange is posted, so only the order of the
+/// charges is observable. On one rank the boundary count is 0 and the clock
+/// equals a blocking accumulate after the whole loop.
+template <int DIM>
+void accumulateOverlapped(const Mesh<DIM>& mesh, Field& y, int ndof,
+                          double workPerElem) {
+  const int p = mesh.nRanks();
+  PT_MV_PHASES(mvps);
+  PT_MV_TIMER(mvps, ta, "accumulate");
+  PT_MV_START(ta);
+  for (int r = 0; r < p; ++r)
+    mesh.comm().chargeWork(r, workPerElem * mesh.rank(r).plan.nBoundaryElems);
+  auto h = mesh.accumulateStart(y, ndof);
+  for (int r = 0; r < p; ++r) {
+    const RankMesh<DIM>& rm = mesh.rank(r);
+    const std::size_t interior = rm.nElems() - rm.plan.nBoundaryElems;
+    mesh.comm().chargeWork(r, workPerElem * interior);
+  }
+  mesh.accumulateFinish(h, y, ndof);
+  PT_MV_STOP(ta);
+}
+
 /// MATVEC variant whose kernel also receives (rank, element index) so the
 /// caller can gather auxiliary state fields (velocity, phase field, ...)
 /// for the element — used by the CHNS operators. When threading is enabled
@@ -311,101 +307,16 @@ template <int DIM, typename Kernel>
 void matvecIndexed(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
                    Kernel&& kernel) {
   PT_SPAN("matvec");
-  const int p = mesh.nRanks();
   PT_MV_PHASES(mvps);
-
-  // One rank has no neighbours to overlap with: the one-pass traversal.
-  if (p <= 1) {
-    sim::forEachRank(p, [&](int r, bool innerThreads) {
-      const RankMesh<DIM>& rm = mesh.rank(r);
-      y[r].assign(rm.nNodes() * ndof, 0.0);
-      matvecdetail::applyRankAdd(
-          rm, x[r], y[r], ndof, innerThreads, mvps,
-          [&kernel, r](std::size_t e, const Octant<DIM>& oct, const Real* in,
-                       Real* out) { kernel(r, e, oct, in, out); });
-      mesh.comm().chargeWork(r, matvecWorkPerElem<DIM>(ndof) * rm.nElems());
-    });
-    PT_MV_TIMER(mvps, ta, "accumulate");
-    PT_MV_START(ta);
-    mesh.accumulate(y, ndof);  // ghost write (ADD) + ghost read
-    PT_MV_STOP(ta);
-    return;
-  }
-
-  // Two-pass overlap (DESIGN.md §15). Pass A evaluates the boundary
-  // elements and scatters ONLY their shared-node contributions; those are
-  // the complete pre-exchange values of every shared node (interior
-  // elements touch none), so the accumulate can start. Pass B then walks
-  // ALL elements in the one-pass order, replaying the stored boundary
-  // results and computing interior elements fresh, scattering only
-  // private-node contributions — per node the accumulation order is
-  // exactly the one-pass traversal's, so results are bitwise identical to
-  // it (and to matvecNaive). Interior work is charged between start and
-  // finish, where the virtual clock credits it against the exchange
-  // latency.
-  constexpr int kC = kNumChildren<DIM>;
-  const std::size_t stride = static_cast<std::size_t>(kC) * ndof;
-  const double perElem = matvecWorkPerElem<DIM>(ndof);
-  std::vector<std::vector<Real>> bres(p);  // boundary results, natural order
-  sim::forEachRank(p, [&](int r, bool) {
+  sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
-    const std::vector<char>& eb = rm.plan.elemBoundary;
     y[r].assign(rm.nNodes() * ndof, 0.0);
-    bres[r].assign(rm.plan.nBoundaryElems * stride, 0.0);
-    PT_MV_TIMER(mvps, tg, "gather");
-    PT_MV_TIMER(mvps, tk, "kernel");
-    PT_MV_TIMER(mvps, ts, "scatter");
-    std::vector<Real> uLoc(stride);
-    std::size_t slot = 0;
-    for (std::size_t e = 0; e < rm.nElems(); ++e) {
-      if (!eb[e]) continue;
-      Real* out = &bres[r][slot++ * stride];
-      PT_MV_START(tg);
-      gatherElem(rm, e, x[r], ndof, uLoc.data());
-      PT_MV_STOP(tg);
-      PT_MV_START(tk);
-      kernel(r, e, rm.elems[e], uLoc.data(), out);
-      PT_MV_STOP(tk);
-      PT_MV_START(ts);
-      scatterAddElemClass(rm, e, out, ndof, y[r], /*wantShared=*/true);
-      PT_MV_STOP(ts);
-    }
-    mesh.comm().chargeWork(r, perElem * rm.plan.nBoundaryElems);
+    matvecdetail::applyRankAdd(
+        rm, x[r], y[r], ndof, innerThreads, mvps,
+        [&kernel, r](std::size_t e, const Octant<DIM>& oct, const Real* in,
+                     Real* out) { kernel(r, e, oct, in, out); });
   });
-  auto h = mesh.accumulateStart(y, ndof);
-  sim::forEachRank(p, [&](int r, bool) {
-    const RankMesh<DIM>& rm = mesh.rank(r);
-    const std::vector<char>& eb = rm.plan.elemBoundary;
-    PT_MV_TIMER(mvps, tg, "gather");
-    PT_MV_TIMER(mvps, tk, "kernel");
-    PT_MV_TIMER(mvps, ts, "scatter");
-    std::vector<Real> uLoc(stride), rLoc(stride);
-    std::size_t slot = 0;
-    for (std::size_t e = 0; e < rm.nElems(); ++e) {
-      const Real* res;
-      if (eb[e]) {
-        res = &bres[r][slot++ * stride];  // computed in pass A
-      } else {
-        PT_MV_START(tg);
-        gatherElem(rm, e, x[r], ndof, uLoc.data());
-        PT_MV_STOP(tg);
-        PT_MV_START(tk);
-        std::fill(rLoc.begin(), rLoc.end(), 0.0);
-        kernel(r, e, rm.elems[e], uLoc.data(), rLoc.data());
-        PT_MV_STOP(tk);
-        res = rLoc.data();
-      }
-      PT_MV_START(ts);
-      scatterAddElemClass(rm, e, res, ndof, y[r], /*wantShared=*/false);
-      PT_MV_STOP(ts);
-    }
-    mesh.comm().chargeWork(
-        r, perElem * (rm.nElems() - rm.plan.nBoundaryElems));
-  });
-  PT_MV_TIMER(mvps, ta, "accumulate");
-  PT_MV_START(ta);
-  mesh.accumulateFinish(h, y, ndof);
-  PT_MV_STOP(ta);
+  accumulateOverlapped(mesh, y, ndof, matvecWorkPerElem<DIM>(ndof));
 }
 
 /// Distributed matrix-free MATVEC: y = A x with A defined element-wise.

@@ -284,32 +284,19 @@ inline std::vector<std::size_t> coefPanelOffsets(const ElemPlan& plan, int kN,
   return off;
 }
 
-/// Node-class filter for the two-pass overlap scatter (DESIGN.md §15):
-/// kAll is the one-pass body; kShared/kPrivate together partition it while
-/// preserving, per node, the one-pass accumulation order exactly.
-enum class ScatterClass { kAll, kShared, kPrivate };
-
-inline bool scatterWants(ScatterClass cls, bool nodeIsShared) {
-  return cls == ScatterClass::kAll ||
-         (cls == ScatterClass::kShared) == nodeIsShared;
-}
-
-/// Serial coefficient-block scatter of batches in ascending order, exactly
-/// the loop nest of the one-pass phase 2; `boundaryOnly` restricts to
-/// boundary batches (interior batches contribute nothing to shared nodes,
-/// so skipping them under kShared preserves the per-node order).
+/// Serial coefficient-block scatter of every batch in ascending order,
+/// mixing the mass and stiffness panel products through each element's
+/// cM/cK blocks.
 template <int DIM>
 void coefScatterBatches(const RankMesh<DIM>& rm, const Real* cMr,
                         const Real* cKr, const std::vector<Real>& YM,
                         const std::vector<Real>& YK,
                         const std::vector<std::size_t>& panelOff, int ndof,
-                        std::vector<Real>& yr, ScatterClass cls,
-                        bool boundaryOnly) {
+                        std::vector<Real>& yr) {
   constexpr int kN = kNodes<DIM>;
   const ElemPlan& plan = rm.plan;
   const int nd2 = ndof * ndof;
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-    if (boundaryOnly && !plan.batchBoundary[b]) continue;
     const ElemPlanBatch& batch = plan.batches[b];
     const int m = static_cast<int>(batch.end - batch.begin);
     const int colsPad = padCols(m * ndof);
@@ -321,7 +308,6 @@ void coefScatterBatches(const RankMesh<DIM>& rm, const Real* cMr,
       const std::uint32_t* nodes =
           &plan.pureNodes[std::size_t(batch.begin + ei) * kN];
       for (int j = 0; j < kN; ++j) {
-        if (!scatterWants(cls, plan.nodeShared[nodes[j]] != 0)) continue;
         Real* dst = &yr[std::size_t(nodes[j]) * ndof];
         const Real* sM =
             &YM[off + std::size_t(j) * colsPad + std::size_t(ei) * ndof];
@@ -338,19 +324,16 @@ void coefScatterBatches(const RankMesh<DIM>& rm, const Real* cMr,
   }
 }
 
-/// Serial hanging-element sweep with the coefficient-block mixing (the
-/// one-pass body's trailing loop, class-filterable). Under kShared, runs
-/// with no boundary element are skipped whole; under kPrivate and kAll the
-/// full sweep runs. Panel products recomputed per call are bitwise
-/// reproducible (same inputs, same operation sequence), so a kShared sweep
-/// followed by a kPrivate one scatters exactly the kAll values.
+/// Serial hanging-element sweep with the coefficient-block mixing: the
+/// weighted gather/scatter stays per element, and same-level runs share
+/// one panel and the two panel GEMMs.
 template <int DIM>
 void coefHangingSweep(const RankMesh<DIM>& rm,
                       const std::array<const Real*, kMaxLevel + 1>& opsM,
                       const std::array<const Real*, kMaxLevel + 1>& opsK,
                       const Real* cMr, const Real* cKr,
                       const std::vector<Real>& x, std::vector<Real>& yr,
-                      int ndof, SimdIsa isa, ScatterClass cls) {
+                      int ndof, SimdIsa isa) {
   constexpr int kN = kNodes<DIM>;
   const ElemPlan& plan = rm.plan;
   const int nd2 = ndof * ndof;
@@ -371,15 +354,6 @@ void coefHangingSweep(const RankMesh<DIM>& rm,
     while (runEnd < nh && runEnd - i < kMatvecBatch &&
            rm.elems[plan.hangingElems[runEnd]].level == lvl)
       ++runEnd;
-    if (cls == ScatterClass::kShared) {
-      bool any = false;
-      for (std::size_t a = i; a < runEnd && !any; ++a)
-        any = plan.elemBoundary[plan.hangingElems[a]] != 0;
-      if (!any) {
-        i = runEnd;
-        continue;
-      }
-    }
     const int m = static_cast<int>(runEnd - i);
     const int cols = m * ndof;
     const int colsPad = padCols(cols);
@@ -411,11 +385,7 @@ void coefHangingSweep(const RankMesh<DIM>& rm,
           rLoc[std::size_t(j) * ndof + a] = acc;
         }
       }
-      if (cls == ScatterClass::kAll)
-        scatterAddElem(rm, e, rLoc.data(), ndof, yr);
-      else
-        scatterAddElemClass(rm, e, rLoc.data(), ndof, yr,
-                            cls == ScatterClass::kShared);
+      scatterAddElem(rm, e, rLoc.data(), ndof, yr);
     }
     i = runEnd;
   }
@@ -448,62 +418,6 @@ double coefWorkPerElem(int ndof) {
          2.0 * (ndof * ndof) * kNodes<DIM>;
 }
 
-/// The one-pass body of matvecCoefBlocks, without the accumulate: every
-/// rank's local y[r]. It is the single-rank engine, and followed by
-/// Mesh::accumulate it is the bitwise reference for the split-phase
-/// schedule.
-template <int DIM>
-void coefBlocksOnePass(const Mesh<DIM>& mesh, const Field& x, Field& y,
-                       int ndof, const sim::PerRank<std::vector<Real>>& cM,
-                       const sim::PerRank<std::vector<Real>>& cK,
-                       SimdIsa isa) {
-  constexpr int kN = kNodes<DIM>;
-  auto& pool = support::ThreadPool::instance();
-  sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
-    const RankMesh<DIM>& rm = mesh.rank(r);
-    const ElemPlan& plan = rm.plan;
-    PT_CHECK(plan.isPure.size() == rm.nElems());
-    PT_CHECK(cM[r].size() == rm.nElems() * std::size_t(ndof * ndof));
-    PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(ndof * ndof));
-    std::vector<Real>& yr = y[r];
-    yr.assign(rm.nNodes() * ndof, 0.0);
-    CoefLevelOps<DIM> lops;
-    lops.build(rm);
-
-    // Phase 1: panel products, parallel over batches (shared read-only
-    // inputs, disjoint per-batch padded output slots).
-    const std::vector<std::size_t> panelOff =
-        coefPanelOffsets(plan, kN, ndof);
-    std::vector<Real> YM(panelOff.back());
-    std::vector<Real> YK(panelOff.back());
-    auto panels = [&](std::size_t b0, std::size_t b1) {
-      computeCoefPanels(rm, lops.opsM, lops.opsK, x[r], YM, YK, panelOff,
-                        ndof, b0, b1, isa);
-    };
-    if (innerThreads && plan.batches.size() > 1 && pool.threads() > 1) {
-      pool.parallelFor(plan.batches.size(),
-                       [&](int, std::size_t b0, std::size_t b1) {
-                         panels(b0, b1);
-                       });
-    } else {
-      panels(0, plan.batches.size());
-    }
-
-    // Phase 2: serial scatter in ascending batch order with the
-    // per-element coefficient-block mixing, then the serial hanging-element
-    // sweep (weighted gather/scatter per element, A_e applies batched
-    // through the same panel GEMMs).
-    coefScatterBatches<DIM>(rm, cM[r].data(), cK[r].data(), YM, YK,
-                            panelOff, ndof, yr, ScatterClass::kAll,
-                            /*boundaryOnly=*/false);
-    coefHangingSweep<DIM>(rm, lops.opsM, lops.opsK, cM[r].data(),
-                          cK[r].data(), x[r], yr, ndof, isa,
-                          ScatterClass::kAll);
-
-    mesh.comm().chargeWork(r, coefWorkPerElem<DIM>(ndof) * rm.nElems());
-  });
-}
-
 }  // namespace matvecdetail
 
 /// Batched MATVEC for per-element coefficient-block operators — the GMG
@@ -529,38 +443,16 @@ void coefBlocksOnePass(const Mesh<DIM>& mesh, const Field& x, Field& y,
 /// hanging-element sweep, so the accumulation order into y is a pure
 /// function of the plan.
 ///
-/// A single rank runs the one-pass body (coefBlocksOnePass); more ranks run
-/// the split-phase schedule, whose values are bitwise the one-pass body's.
+/// The accumulate overlaps the interior work (accumulateOverlapped,
+/// DESIGN.md §15).
 template <int DIM>
 void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
                       int ndof, const sim::PerRank<std::vector<Real>>& cM,
                       const sim::PerRank<std::vector<Real>>& cK,
                       SimdIsa isa = simdIsa()) {
   constexpr int kN = kNodes<DIM>;
-  const int p = mesh.nRanks();
-  if (p <= 1) {
-    matvecdetail::coefBlocksOnePass<DIM>(mesh, x, y, ndof, cM, cK, isa);
-    mesh.accumulate(y, ndof);
-    return;
-  }
-
-  // Two-pass overlap (DESIGN.md §15): boundary batches and
-  // boundary-containing hanging runs evaluate first and scatter their
-  // shared-node contributions, the accumulate is posted, and the interior
-  // panels run through the GEMM engine while the exchange is in flight;
-  // the private-node scatter then replays the one-pass order over ALL
-  // batches (boundary panels retained in YM/YK) and the full hanging
-  // sweep, so per node the accumulation order — and hence the result — is
-  // bitwise identical to the one-pass body. Interior work is charged
-  // inside the epoch where the virtual clock credits the overlap.
-  struct RankCoefState {
-    matvecdetail::CoefLevelOps<DIM> lops;
-    std::vector<std::size_t> panelOff;
-    std::vector<Real> YM, YK;
-  };
-  const double workPerElem = matvecdetail::coefWorkPerElem<DIM>(ndof);
-  std::vector<RankCoefState> st(p);
-  sim::forEachRank(p, [&](int r, bool) {
+  auto& pool = support::ThreadPool::instance();
+  sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
     PT_CHECK(plan.isPure.size() == rm.nElems());
@@ -568,48 +460,39 @@ void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
     PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(ndof * ndof));
     std::vector<Real>& yr = y[r];
     yr.assign(rm.nNodes() * ndof, 0.0);
-    RankCoefState& s = st[r];
-    s.lops.build(rm);
-    s.panelOff = matvecdetail::coefPanelOffsets(plan, kN, ndof);
-    s.YM.assign(s.panelOff.back(), 0.0);
-    s.YK.assign(s.panelOff.back(), 0.0);
-    // Pass A: boundary panels + shared-node scatter.
-    for (std::size_t b = 0; b < plan.batches.size(); ++b)
-      if (plan.batchBoundary[b])
-        matvecdetail::computeCoefPanels(rm, s.lops.opsM, s.lops.opsK, x[r],
-                                        s.YM, s.YK, s.panelOff, ndof, b,
-                                        b + 1, isa);
-    matvecdetail::coefScatterBatches<DIM>(
-        rm, cM[r].data(), cK[r].data(), s.YM, s.YK, s.panelOff, ndof, yr,
-        matvecdetail::ScatterClass::kShared, /*boundaryOnly=*/true);
-    matvecdetail::coefHangingSweep<DIM>(
-        rm, s.lops.opsM, s.lops.opsK, cM[r].data(), cK[r].data(), x[r], yr,
-        ndof, isa, matvecdetail::ScatterClass::kShared);
-    mesh.comm().chargeWork(r, workPerElem * plan.nBoundaryElems);
+    matvecdetail::CoefLevelOps<DIM> lops;
+    lops.build(rm);
+
+    // Phase 1: panel products, parallel over batches (shared read-only
+    // inputs, disjoint per-batch padded output slots).
+    const std::vector<std::size_t> panelOff =
+        matvecdetail::coefPanelOffsets(plan, kN, ndof);
+    std::vector<Real> YM(panelOff.back());
+    std::vector<Real> YK(panelOff.back());
+    auto panels = [&](std::size_t b0, std::size_t b1) {
+      matvecdetail::computeCoefPanels(rm, lops.opsM, lops.opsK, x[r], YM, YK,
+                                      panelOff, ndof, b0, b1, isa);
+    };
+    if (innerThreads && plan.batches.size() > 1 && pool.threads() > 1) {
+      pool.parallelFor(plan.batches.size(),
+                       [&](int, std::size_t b0, std::size_t b1) {
+                         panels(b0, b1);
+                       });
+    } else {
+      panels(0, plan.batches.size());
+    }
+
+    // Phase 2: serial scatter in ascending batch order with the
+    // per-element coefficient-block mixing, then the serial hanging-element
+    // sweep (weighted gather/scatter per element, A_e applies batched
+    // through the same panel GEMMs).
+    matvecdetail::coefScatterBatches<DIM>(rm, cM[r].data(), cK[r].data(), YM,
+                                          YK, panelOff, ndof, yr);
+    matvecdetail::coefHangingSweep<DIM>(rm, lops.opsM, lops.opsK,
+                                        cM[r].data(), cK[r].data(), x[r], yr,
+                                        ndof, isa);
   });
-  auto h = mesh.accumulateStart(y, ndof);
-  sim::forEachRank(p, [&](int r, bool) {
-    const RankMesh<DIM>& rm = mesh.rank(r);
-    const ElemPlan& plan = rm.plan;
-    std::vector<Real>& yr = y[r];
-    RankCoefState& s = st[r];
-    // Pass B: interior panels while the exchange is in flight, then the
-    // private-node scatter over all batches and the full hanging sweep.
-    for (std::size_t b = 0; b < plan.batches.size(); ++b)
-      if (!plan.batchBoundary[b])
-        matvecdetail::computeCoefPanels(rm, s.lops.opsM, s.lops.opsK, x[r],
-                                        s.YM, s.YK, s.panelOff, ndof, b,
-                                        b + 1, isa);
-    matvecdetail::coefScatterBatches<DIM>(
-        rm, cM[r].data(), cK[r].data(), s.YM, s.YK, s.panelOff, ndof, yr,
-        matvecdetail::ScatterClass::kPrivate, /*boundaryOnly=*/false);
-    matvecdetail::coefHangingSweep<DIM>(
-        rm, s.lops.opsM, s.lops.opsK, cM[r].data(), cK[r].data(), x[r], yr,
-        ndof, isa, matvecdetail::ScatterClass::kPrivate);
-    mesh.comm().chargeWork(
-        r, workPerElem * (rm.nElems() - plan.nBoundaryElems));
-  });
-  mesh.accumulateFinish(h, y, ndof);
+  accumulateOverlapped(mesh, y, ndof, matvecdetail::coefWorkPerElem<DIM>(ndof));
 }
 
 }  // namespace pt::fem

@@ -381,13 +381,16 @@ ElemField cnFromStages(const Mesh<DIM>& mesh,
 
 /// Desired refinement levels for remeshing (paper: "refine the interface
 /// region (|phi| < delta*) with the appropriate resolution", and only near
-/// the interface even inside reduced-Cn regions). Elements away from the
-/// interface may coarsen down to `coarseLevel`.
-template <int DIM>
-sim::PerRank<std::vector<Level>> interfaceRefineLevels(
-    const Mesh<DIM>& mesh, const Field& phi, const ElemField& cn, Real cnFine,
-    Real deltaStar, Level coarseLevel, Level interfaceLevel,
-    Level featureLevel) {
+/// the interface even inside reduced-Cn regions). An element with a corner
+/// value |phi| < deltaStar refines to `nearLevel(r, e)`; elements away from
+/// the interface may coarsen down to `coarseLevel`. `nearLevel` must be
+/// re-entrant (it runs on pool threads).
+template <int DIM, typename NearLevel>
+sim::PerRank<std::vector<Level>> interfaceBandLevels(const Mesh<DIM>& mesh,
+                                                     const Field& phi,
+                                                     Real deltaStar,
+                                                     Level coarseLevel,
+                                                     NearLevel&& nearLevel) {
   constexpr int kC = kNumChildren<DIM>;
   const int p = mesh.nRanks();
   sim::PerRank<std::vector<Level>> want(p);
@@ -401,8 +404,7 @@ sim::PerRank<std::vector<Level>> interfaceRefineLevels(
         bool nearInterface = false;
         for (int c = 0; c < kC; ++c)
           nearInterface = nearInterface || std::abs(u[c]) < deltaStar;
-        if (nearInterface)
-          want[r][el] = (cn[r][el] == cnFine) ? featureLevel : interfaceLevel;
+        if (nearInterface) want[r][el] = nearLevel(r, el);
       }
     };
     if (innerThreads) {
@@ -414,6 +416,19 @@ sim::PerRank<std::vector<Level>> interfaceRefineLevels(
     mesh.comm().chargeWork(r, 4.0 * kC * rm.nElems());
   });
   return want;
+}
+
+/// The single-level band: identified (cn == cnFine) elements refine to
+/// `featureLevel`, the rest of the band to `interfaceLevel`.
+template <int DIM>
+sim::PerRank<std::vector<Level>> interfaceRefineLevels(
+    const Mesh<DIM>& mesh, const Field& phi, const ElemField& cn, Real cnFine,
+    Real deltaStar, Level coarseLevel, Level interfaceLevel,
+    Level featureLevel) {
+  return interfaceBandLevels<DIM>(
+      mesh, phi, deltaStar, coarseLevel, [&](int r, std::size_t e) {
+        return cn[r][e] == cnFine ? featureLevel : interfaceLevel;
+      });
 }
 
 }  // namespace pt::localcahn

@@ -83,16 +83,12 @@ struct ElemPlan {
   std::vector<ElemPlanBatch> batches;       ///< cover pureElems exactly
   std::vector<std::uint32_t> batchOf;       ///< per pure slot: batch index
 
-  /// Interior/boundary partition for communication overlap (DESIGN.md §15).
-  /// A node is *shared* when more than one rank holds a copy (owned-shared
-  /// mirror copies and ghost copies alike); an element is *boundary* when
-  /// any corner support touches a shared node — boundary elements are the
-  /// only producers of ghost-send values, so once they have scattered, the
-  /// accumulate exchange can start while interior elements compute.
-  std::vector<char> nodeShared;    ///< per local node
-  std::vector<char> elemBoundary;  ///< per element
-  std::vector<char> batchBoundary; ///< per batch: any boundary element
-  std::size_t nBoundaryElems = 0;  ///< over pure + hanging
+  /// Boundary elements, over pure + hanging, for the overlap charge
+  /// (DESIGN.md §15): an element is *boundary* when any corner support is a
+  /// node that more than one rank holds (RankMesh::nodeSharers). Interior
+  /// elements write no such node, so their work can be charged while the
+  /// accumulate exchange is in flight.
+  std::size_t nBoundaryElems = 0;
 
   bool built() const { return !slot.empty() || isPure.empty(); }
   std::size_t nPure() const { return pureElems.size(); }
@@ -174,25 +170,18 @@ class Mesh {
   void ghostRead(Field& f, int ndof = 1) const;
 
   /// ADD_VALUES: partial sums on sharers are accumulated at the owner and
-  /// redistributed, leaving a consistent field.
+  /// redistributed, leaving a consistent field. Blocking: accumulateStart
+  /// immediately followed by accumulateFinish.
   void accumulate(Field& f, int ndof = 1) const;
 
-  // Split-phase variants (DESIGN.md §15). Start posts the exchange without
-  // advancing the virtual clocks; compute charged before the matching
-  // finish overlaps the exchange latency. Blocking ghostRead/accumulate are
-  // start immediately followed by finish, so the split path with no
-  // interposed work is cost- and bitwise-identical to the blocking one.
+  // Split-phase accumulate (DESIGN.md §15). Start posts the exchange
+  // without advancing the virtual clocks; compute charged before the
+  // matching finish overlaps the exchange latency. With no work charged in
+  // between, the split path is cost- and bitwise-identical to accumulate.
 
-  /// Posts the owner->sharers exchange of owned mirror values. The field's
-  /// owned entries must be final; ghost entries may still change.
-  sim::ExchangeHandle<Real> ghostReadStart(const Field& f, int ndof = 1) const;
-  /// Lands the exchanged values into the ghost copies.
-  void ghostReadFinish(sim::ExchangeHandle<Real>& h, Field& f,
-                       int ndof = 1) const;
-
-  /// Posts the ghosts->owner sends of an accumulate. Ghost (non-owned
-  /// shared) entries of `f` must be final; owned entries — shared or not —
-  /// may still be written until the matching finish.
+  /// Posts the ghosts->owner sends of an accumulate, copying the ghost
+  /// (non-owned shared) entries of `f` as they are now; owned entries may
+  /// still be written until the matching finish.
   sim::ExchangeHandle<Real> accumulateStart(const Field& f,
                                             int ndof = 1) const;
   /// Owner adds the received partials (in source-rank order, exactly the
@@ -335,32 +324,18 @@ void buildElemPlan(RankMesh<DIM>& rm) {
         blockT[std::size_t(c) * m + ei] = block[ei * kC + c];
   }
 
-  // Interior/boundary partition (overlap). Hand-assembled RankMeshes (tests)
-  // may lack sharer tables; every node then counts as private, all elements
-  // land interior, and the overlap path degenerates to compute-then-finish.
-  const std::size_t nNodes = rm.nNodes();
-  plan.nodeShared.assign(nNodes, 0);
-  if (rm.nodeSharers.size() == nNodes)
-    for (std::size_t li = 0; li < nNodes; ++li)
-      plan.nodeShared[li] = rm.nodeSharers[li].size() > 1 ? 1 : 0;
-  plan.elemBoundary.assign(n, 0);
-  plan.nBoundaryElems = 0;
+  // Boundary count (overlap). Hand-assembled RankMeshes (tests) may lack
+  // sharer tables; every element then counts as interior.
+  if (rm.nodeSharers.size() != rm.nNodes()) return;
   for (std::size_t e = 0; e < n; ++e) {
-    bool boundary = false;
     const std::uint32_t lo = rm.cornerOffset[e * kC];
     const std::uint32_t hi = rm.cornerOffset[e * kC + kC];
-    for (std::uint32_t s = lo; s < hi && !boundary; ++s)
-      boundary = plan.nodeShared[rm.supports[s].node] != 0;
-    plan.elemBoundary[e] = boundary ? 1 : 0;
-    if (boundary) ++plan.nBoundaryElems;
-  }
-  plan.batchBoundary.assign(plan.batches.size(), 0);
-  for (std::size_t b = 0; b < plan.batches.size(); ++b)
-    for (std::uint32_t i = plan.batches[b].begin; i < plan.batches[b].end; ++i)
-      if (plan.elemBoundary[plan.pureElems[i]]) {
-        plan.batchBoundary[b] = 1;
+    for (std::uint32_t s = lo; s < hi; ++s)
+      if (rm.nodeSharers[rm.supports[s].node].size() > 1) {
+        ++plan.nBoundaryElems;
         break;
       }
+  }
 }
 
 template <int DIM>
@@ -666,8 +641,7 @@ Mesh<DIM> Mesh<DIM>::build(sim::SimComm& comm, const DistTree<DIM>& tree) {
 }
 
 template <int DIM>
-sim::ExchangeHandle<Real> Mesh<DIM>::ghostReadStart(const Field& f,
-                                                    int ndof) const {
+void Mesh<DIM>::ghostRead(Field& f, int ndof) const {
   const int p = nRanks();
   sim::SparseSends<Real> sends(p);
   for (int r = 0; r < p; ++r) {
@@ -680,14 +654,7 @@ sim::ExchangeHandle<Real> Mesh<DIM>::ghostReadStart(const Field& f,
     }
     comm_->chargeWork(r, 2.0 * ndof * ranks_[r].mirror.size());
   }
-  return comm_->exchangeStart(sends);
-}
-
-template <int DIM>
-void Mesh<DIM>::ghostReadFinish(sim::ExchangeHandle<Real>& h, Field& f,
-                                int ndof) const {
-  const int p = nRanks();
-  auto recv = comm_->exchangeFinish(h);
+  auto recv = comm_->sparseExchange(sends);
   for (int r = 0; r < p; ++r) {
     for (const auto& [owner, buf] : recv[r]) {
       // Find my ghost list for this owner.
@@ -702,12 +669,6 @@ void Mesh<DIM>::ghostReadFinish(sim::ExchangeHandle<Real>& h, Field& f,
           f[r][idxs[i] * ndof + d] = buf[i * ndof + d];
     }
   }
-}
-
-template <int DIM>
-void Mesh<DIM>::ghostRead(Field& f, int ndof) const {
-  auto h = ghostReadStart(f, ndof);
-  ghostReadFinish(h, f, ndof);
 }
 
 template <int DIM>

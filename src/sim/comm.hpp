@@ -79,9 +79,6 @@ class ExchangeHandle {
  public:
   ExchangeHandle() = default;
   bool open() const { return open_; }
-  /// Peek at the delivered payloads before finish (the data is already
-  /// local in the simulation; real code would need the finish first).
-  const SparseSends<T>& peek() const { return recv_; }
 
  private:
   friend class SimComm;

@@ -310,5 +310,52 @@ TEST(ChnsSolver, MultiLevelCnStagesRefineByFeatureSize) {
   EXPECT_GE(cnValues.size(), 3u);  // ambient + two stage values
 }
 
+TEST(ChnsSolver, OneCnStageRemeshesLikeTheSingleLevelPath) {
+  // A single Cn stage with the single-level identifier's parameters must
+  // reproduce the single-level remesh: the same leaves, the same elemental
+  // Cn and the same modeled time (the staged branch charges its
+  // refine-level pass like the single-level one).
+  auto opt = baseOptions();
+  opt.params.Cn = 0.02;
+  opt.coarseLevel = 3;
+  opt.interfaceLevel = 5;
+  opt.featureLevel = 6;
+  opt.referenceLevel = 6;
+  opt.identify.erodeSteps = 7;
+  opt.identify.extraDilateSteps = 3;
+  opt.identify.cnErodeSteps = 0;
+  opt.identify.delta = -0.6;
+  opt.identify.cnCoarse = opt.params.Cn;
+  opt.identify.cnFine = opt.params.Cn / 2;
+  auto staged = opt;
+  staged.cnStages = {{opt.identify, opt.identify.cnFine}};
+  staged.cnStageLevels = {opt.featureLevel};
+
+  auto ic = [](const VecN<2>& x) {
+    return apps::phaseUnion(
+        apps::dropPhi<2>(x, VecN<2>{{0.25, 0.5}}, 0.05, 0.012),
+        apps::dropPhi<2>(x, VecN<2>{{0.7, 0.5}}, 0.16, 0.012));
+  };
+  sim::SimComm c1(4, sim::Machine::loopback());
+  chns::ChnsSolver<2> single(
+      c1, DistTree<2>::fromGlobal(c1, uniformTree<2>(6)), opt);
+  single.setInitialCondition(ic);
+  single.remeshNow();
+  sim::SimComm c2(4, sim::Machine::loopback());
+  chns::ChnsSolver<2> multi(
+      c2, DistTree<2>::fromGlobal(c2, uniformTree<2>(6)), staged);
+  multi.setInitialCondition(ic);
+  multi.remeshNow();
+
+  std::size_t fine = 0;
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(single.tree().localOf(r), multi.tree().localOf(r)) << r;
+    EXPECT_EQ(single.elemCn()[r], multi.elemCn()[r]) << r;
+    for (Real cn : single.elemCn()[r]) fine += cn == opt.identify.cnFine;
+  }
+  EXPECT_GT(fine, 0u) << "the identifier must flag the small drop";
+  EXPECT_EQ(c1.time(), c2.time());
+}
+
 }  // namespace
 }  // namespace pt

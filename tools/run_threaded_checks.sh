@@ -38,31 +38,37 @@
 #    the intrinsics tiers, pointer alignment tricks, and padded-panel
 #    indexing run exactly as shipped.
 # 9. The overlap stage (DESIGN.md §15): the split-phase communication
-#    suite — exchange clock-credit semantics, ghost/accumulate epoch edge
-#    cases, the split-phase MATVEC engines and async transfer epoch
-#    against their one-pass references, solver histories across thread
+#    suite — exchange clock-credit semantics, accumulate epoch edge cases,
+#    the overlapped MATVEC engines and async transfer epoch against their
+#    references, the boundary count, solver histories across thread
 #    counts — serial, with the pool at 4 threads, and under tsan at 4
-#    threads (the two-pass engines race their per-rank partitions through
-#    the pool).
-# 10. The farm stage (DESIGN.md §14): the scenario-farm suite serial, with
+#    threads (the engines race their per-rank loops through the pool).
+# 10. The history stage: bench/history_fingerprint prints, in exact hex
+#    floating point, the solver counts, field sums, leaf counts and
+#    SimComm clocks and stats of four small CHNS scenarios; its outputs
+#    at PT_NUM_THREADS=1 and 4 must be byte-identical. (Compiled against
+#    a parent commit's src/ too, the same file is the parent-versus-change
+#    check for refactors.)
+# 11. The farm stage (DESIGN.md §14): the scenario-farm suite serial, with
 #    the pool at 4 threads (concurrent jobs, racing init-state cache,
 #    work-stealing task queue), under tsan at 4 threads (the shared
 #    read-only cache and job bookkeeping race the pool there), and with
 #    PT_VALIDATE=1 (every job's remeshes and restores run the invariant
 #    validator).
-# 11. The profile stage (DESIGN.md §8, §12): the `profile` preset compiles
+# 12. The profile stage (DESIGN.md §8, §12): the `profile` preset compiles
 #    the PT_MATVEC_TIMERS phase timers in, and the telemetry and overlap
 #    suites run their timer-only tests there (phase laps recorded through
 #    a MatvecPhaseScope under a threaded pool, and routed into the solver's
 #    own telemetry).
-# 12. The asan stage (DESIGN.md §13): the GMG, CHNS, KSP-threading and
+# 13. The asan stage (DESIGN.md §13): the GMG, CHNS, KSP-threading and
 #    remesh fast-path suites under AddressSanitizer at PT_NUM_THREADS=4.
 #    The solve families' preconditioner closures capture the family and
 #    the mesh by reference, so one that outlived a remesh would show here
 #    as a heap-use-after-free.
-# 13. The bench-gates stage: bench/run_scaling_bench.sh (fig4a: the
-#    split-phase MATVEC bitwise against matvecNaive at 1..16 simulated
-#    ranks on a 3D mesh, its clock never above the reference's),
+# 14. The bench-gates stage: bench/run_scaling_bench.sh (fig4a: the
+#    MATVEC engine bitwise against matvecNaive at 1..16 simulated ranks
+#    on a 3D mesh, its clock never above the reference's and hidden
+#    exchange time on more than one rank),
 #    bench/run_solver_bench.sh (fig5: thread invariance of the fallback and
 #    GMG configurations, and GMG on the fallback's fixed point) and
 #    bench/run_farm_bench.sh (fig9: farm jobs bitwise identical to their
@@ -138,14 +144,20 @@ cmake --build --preset release-ubsan \
 ctest --preset release-ubsan -R 'test_(simd_kernels|highorder|matvec_plan)$' "$@"
 
 echo "== overlap: split-phase comm suite (serial, threads=4, tsan) =="
-# The bitwise gate (DESIGN.md §15): every split-phase engine — split
-# accumulate, two-pass matvecIndexed/matvecCoefBlocks, async transfer
-# epoch — must match its one-pass reference with blocking exchanges
-# exactly, serial and with the pool at 4 threads, and run clean under tsan.
+# The overlap gate (DESIGN.md §15): the split accumulate, the overlapped
+# matvecIndexed and the async transfer epoch must match their references
+# with blocking exchanges exactly, and matvecCoefBlocks its per-element
+# reference to roundoff and itself across thread counts bitwise — serial
+# and with the pool at 4 threads, and clean under tsan.
 ctest --preset release -R 'test_overlap$' "$@"
 ctest --preset release-threads -R 'test_overlap$' "$@"
 cmake --build --preset tsan --target test_overlap -- -j"$(nproc)"
 ctest --preset tsan -R 'test_overlap$' "$@"
+
+echo "== history: solver-history fingerprint, 1 vs 4 threads =="
+PT_NUM_THREADS=1 ./build/bench/history_fingerprint > build/history_t1.txt
+PT_NUM_THREADS=4 ./build/bench/history_fingerprint > build/history_t4.txt
+cmp build/history_t1.txt build/history_t4.txt
 
 echo "== farm: scenario-farm suite (serial, threads=4, tsan, PT_VALIDATE=1) =="
 ctest --preset release -R 'test_farm$' "$@"
