@@ -12,8 +12,9 @@
 //                    the template) — the operator-caching win, no batching
 //   planned+batched  cached A_e applied to uniform-level batches as panel
 //                    GEMMs (matvecUniform, runtime-dispatched SIMD tier)
-//   planned+batched+threads
-//                    matvecUniform with the pool at 2 / 4 threads
+//
+// The mesh lives on one simulated rank and matvecUniform runs a rank's
+// batches in order on one thread, so the pool width does not enter.
 //
 // On top of the ladder, per-ISA-tier configs are registered at runtime for
 // every tier the CPU supports (names suffixed /scalar, /avx2, /avx512):
@@ -45,7 +46,6 @@
 #include "obs/report.hpp"
 #include "octree/balance.hpp"
 #include "support/buildinfo.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -207,22 +207,6 @@ void BM_MatvecPlannedBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_MatvecPlannedBatched)->Unit(benchmark::kMillisecond);
 
-void BM_MatvecPlannedBatchedThreads(benchmark::State& state) {
-  auto& pool = support::ThreadPool::instance();
-  pool.setThreads(static_cast<int>(state.range(0)));
-  Field y = mesh().makeField(kNdof);
-  for (auto _ : state) {
-    fem::matvecUniform<3>(mesh(), input(), y, kNdof, kMass, kStiff);
-    benchmark::DoNotOptimize(y[0].data());
-  }
-  state.SetItemsProcessed(state.iterations() * countElems(mesh()));
-  pool.setThreads(1);
-}
-BENCHMARK(BM_MatvecPlannedBatchedThreads)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 /// Shared body for the per-tier configs registered in main().
 void runBatchedTier(benchmark::State& state, Mesh<3>& m, Field& x,
                     fem::SimdIsa isa) {
@@ -267,9 +251,8 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 // Custom main: registers the per-tier configs for every ISA tier this CPU
-// supports, then a PT_MATVEC_TIMERS build (the `profile` preset) prints the
-// per-phase breakdown accumulated across all benchmark iterations, and the
-// captured runs are re-emitted as BENCH_matvec.json in the unified schema.
+// supports, and the captured runs are re-emitted as BENCH_matvec.json in
+// the unified schema.
 int main(int argc, char** argv) {
   pt::support::requireReleaseBuild("fig4_matvec_throughput");
   benchmark::Initialize(&argc, argv);
@@ -302,14 +285,7 @@ int main(int argc, char** argv) {
                               pt::support::buildIsOptimized() ? "1" : "0");
   benchmark::AddCustomContext("pt_simd_isa", pt::support::simdIsaName());
   CaptureReporter reporter;
-  // One phase sink for every run (records only in PT_MATVEC_TIMERS builds).
-  // Google Benchmark runs single-threaded benchmarks on the calling thread,
-  // so this thread-local scope covers all of them.
-  pt::obs::PhaseSet matvecPhases;
-  {
-    pt::fem::MatvecPhaseScope scope(matvecPhases);
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-  }
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
   pt::obs::BenchReport rep("fig4_matvec_throughput");
@@ -337,17 +313,6 @@ int main(int argc, char** argv) {
       c.metrics["items_per_sec"] = double(it->second);
     rep.configs.push_back(std::move(c));
   }
-#ifdef PT_MATVEC_TIMERS
-  std::printf("\nMATVEC phase breakdown (all variants pooled):\n");
-  pt::obs::BenchConfig phasesCfg;
-  phasesCfg.name = "matvec-phases-pooled";
-  for (const auto& [name, t] : matvecPhases.all()) {
-    std::printf("  %-12s %10.3f s  (%ld calls)\n", name.c_str(), t.seconds(),
-                t.calls());
-    phasesCfg.phases.emplace(name, t);
-  }
-  rep.configs.push_back(std::move(phasesCfg));
-#endif
   if (!rep.write("BENCH_matvec.json")) {
     std::perror("BENCH_matvec.json");
     return 1;

@@ -25,11 +25,10 @@
 // job, each on its own SimComm) without synchronization between them. The
 // only process-global observability sink a step touches is append-only and
 // thread-safe: the span tracer (spans carry the thread's
-// obs::currentJobTag() for per-job attribution). PT_MATVEC_TIMERS engine
-// phases land in the solver's own telemetry via a MatvecPhaseScope.
-// Nested parallelFor calls issued while inside a ThreadPool participant run
-// inline, so a solver stepped inside a farm job produces bitwise the same
-// history as the same scenario stepped on a serial pool.
+// obs::currentJobTag() for per-job attribution). Nested parallelFor calls
+// issued while inside a ThreadPool participant run inline, so a solver
+// stepped inside a farm job produces bitwise the same history as the same
+// scenario stepped on a serial pool.
 #pragma once
 
 #include <functional>
@@ -200,9 +199,6 @@ class ChnsSolver {
   /// remesh + identify + transfer at the configured cadence.
   void step() {
     PT_SPAN("step");
-    // Route engine phase timers into this solver's telemetry so concurrent
-    // solvers (e.g. farm jobs) keep separable matvec breakdowns.
-    fem::MatvecPhaseScope mvphases(timers_);
     for (int b = 0; b < opt_.blocksPerStep; ++b)
       block(opt_.dt / opt_.blocksPerStep);
     ++steps_;
@@ -213,7 +209,6 @@ class ChnsSolver {
   /// Runs the local-Cahn identifier, remeshes to the indicated levels, and
   /// transfers all fields to the new mesh.
   void remeshNow() {
-    fem::MatvecPhaseScope mvphases(timers_);
     obs::TimedSpan st(timers_, "remesh");
     typename obs::RankPhases<sim::SimComm>::Scope rs(tel_->ranks, "remesh");
     sim::PerRank<std::vector<Level>> want;
@@ -725,9 +720,9 @@ class ChnsSolver {
   // ---- One block of the two-block scheme ------------------------------------
 
   void block(Real dt) {
-    // Per-simulated-rank phase attribution (PT_RANK_STATS): snapshots the
-    // SimComm rank clocks around each solve; local folding only, no
-    // collectives, so CommStats are unperturbed.
+    // Per-simulated-rank phase attribution (when telemetry().ranks is
+    // enabled): snapshots the SimComm rank clocks around each solve; local
+    // folding only, no collectives, so CommStats are unperturbed.
     using RankScope = typename obs::RankPhases<sim::SimComm>::Scope;
     {
       RankScope rs(tel_->ranks, "ch-solve");
@@ -753,6 +748,8 @@ class ChnsSolver {
     m.counter("ns-ksp-iters").inc(lastNs_.iterations);
     m.counter("pp-ksp-iters").inc(lastPp_.iterations);
     m.counter("vu-ksp-iters").inc(lastVuIterations_);
+    // Blocks whose CH Newton stopped at its iteration cap unconverged.
+    if (!lastChNewton_.converged) m.counter("chNewtonUnconverged").inc();
     m.histogram("ksp-iters-ch").add(lastChNewton_.totalLinearIterations);
     m.histogram("ksp-iters-ns").add(lastNs_.iterations);
     m.histogram("ksp-iters-pp").add(lastPp_.iterations);

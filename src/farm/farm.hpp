@@ -41,8 +41,8 @@
 //    tools/trace_summary.py reports a per-job span table. Per-job metrics
 //    are each solver's own Registry, snapshotted into JobRecord.counters
 //    at retirement. Residual process-global aggregates (the tracer's
-//    rings, PT_MATVEC_TIMERS phase totals) are documented in DESIGN.md
-//    §14 — they meter the process, not a job.
+//    rings) are documented in DESIGN.md §14 — they meter the process,
+//    not a job.
 #pragma once
 
 #include <chrono>

@@ -18,8 +18,9 @@
 // *sequentially in element order*. Either way every elemental result is
 // computed by the same FP operations and accumulated in the same order as
 // the serial code, so planned results are bit-identical to the naive path
-// for any thread count. (The batched GEMM engine in matvec_batched.hpp
-// trades that bit-identity for throughput; see there.)
+// for any thread count. (The batched GEMM engines in matvec_batched.hpp
+// reassociate, so they match this path to roundoff only; each is still
+// bitwise identical across thread counts. See there.)
 //
 // The same traversal, with INSERT instead of ADD semantics, drives the
 // erosion/dilation passes of the local-Cahn identifier (Algorithm 2).
@@ -30,78 +31,11 @@
 
 #include "fem/elem_ops.hpp"
 #include "mesh/mesh.hpp"
-#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "support/thread_pool.hpp"
 #include "support/types.hpp"
 
 namespace pt::fem {
-
-// ---- Per-phase instrumentation (compile-time opt-in) -----------------------
-// With PT_MATVEC_TIMERS defined, the engine accumulates wall-clock per phase
-// (gather / kernel / scatter / accumulate) into an obs::PhaseSet. Phase
-// accumulators are atomic and the lap clock lives on each thread's stack
-// (obs::PhaseLap), so the macros are active for ANY pool size — threaded
-// runs record per-phase times too, including from inside ThreadPool
-// workers.
-//
-// Multi-tenancy (DESIGN.md §14): callers that own an obs::Telemetry (the
-// CHNS solver, one per farm job) install their PhaseSet with a
-// MatvecPhaseScope; every engine entered on that thread then times into the
-// job's own telemetry. The engine resolves the sink ONCE at entry on the
-// coordinating thread (pool workers carry no scope of their own) and hands
-// the resolved set to its workers, so a scope installed around a threaded
-// matvec attributes every phase lap correctly. With no scope installed
-// the engines record nothing: the timer handle is null and
-// obs::PhaseLap::end ignores it.
-#ifdef PT_MATVEC_TIMERS
-namespace phasedetail {
-inline obs::PhaseSet*& sinkSlot() {
-  thread_local obs::PhaseSet* sink = nullptr;
-  return sink;
-}
-}  // namespace phasedetail
-/// The PhaseSet the next engine entered on this thread will time into:
-/// the innermost installed MatvecPhaseScope, or null without one.
-inline obs::PhaseSet* activeMatvecPhases() { return phasedetail::sinkSlot(); }
-#define PT_MV_PHASES(var) \
-  ::pt::obs::PhaseSet* var = ::pt::fem::activeMatvecPhases()
-#define PT_MV_TIMER(ps, var, name)                          \
-  ::pt::obs::Phase* var = (ps) ? &(*(ps))[name] : nullptr; \
-  ::pt::obs::PhaseLap var##Lap
-#define PT_MV_START(var) (var##Lap.begin())
-#define PT_MV_STOP(var) (var##Lap.end(var))
-#else
-#define PT_MV_PHASES(var) ::pt::obs::PhaseSet* var = nullptr
-#define PT_MV_TIMER(ps, var, name) ((void)(ps))
-#define PT_MV_START(var) ((void)0)
-#define PT_MV_STOP(var) ((void)0)
-#endif
-
-/// RAII redirection of matvec phase timing into a caller-owned PhaseSet
-/// (nests; restores the previous sink on destruction). No-op without
-/// PT_MATVEC_TIMERS. Install on the thread that CALLS the engines; the
-/// scope is thread-local, so concurrent farm jobs don't cross-attribute.
-class MatvecPhaseScope {
- public:
-#ifdef PT_MATVEC_TIMERS
-  explicit MatvecPhaseScope(obs::PhaseSet& sink)
-      : prev_(phasedetail::sinkSlot()) {
-    phasedetail::sinkSlot() = &sink;
-  }
-  ~MatvecPhaseScope() { phasedetail::sinkSlot() = prev_; }
-#else
-  explicit MatvecPhaseScope(obs::PhaseSet& sink) { (void)sink; }
-  ~MatvecPhaseScope() = default;
-#endif
-  MatvecPhaseScope(const MatvecPhaseScope&) = delete;
-  MatvecPhaseScope& operator=(const MatvecPhaseScope&) = delete;
-
- private:
-#ifdef PT_MATVEC_TIMERS
-  obs::PhaseSet* prev_;
-#endif
-};
 
 /// Gathers the 2^DIM * ndof corner values of element `e` from a consistent
 /// field, applying hanging-node interpolation weights. Pure elements (per
@@ -110,7 +44,7 @@ template <int DIM>
 void gatherElem(const RankMesh<DIM>& rm, std::size_t e,
                 const std::vector<Real>& x, int ndof, Real* out) {
   constexpr int kC = kNumChildren<DIM>;
-  if (e < rm.plan.isPure.size() && rm.plan.isPure[e]) {
+  if (rm.plan.isPure[e]) {
     const std::uint32_t* nodes = &rm.plan.pureNodes[rm.plan.slot[e] * kC];
     for (int c = 0; c < kC; ++c) {
       const Real* src = &x[nodes[c] * ndof];
@@ -136,7 +70,7 @@ template <int DIM>
 void scatterAddElem(const RankMesh<DIM>& rm, std::size_t e, const Real* in,
                     int ndof, std::vector<Real>& y) {
   constexpr int kC = kNumChildren<DIM>;
-  if (e < rm.plan.isPure.size() && rm.plan.isPure[e]) {
+  if (rm.plan.isPure[e]) {
     const std::uint32_t* nodes = &rm.plan.pureNodes[rm.plan.slot[e] * kC];
     for (int c = 0; c < kC; ++c) {
       Real* dst = &y[nodes[c] * ndof];
@@ -162,7 +96,7 @@ void scatterInsertElem(const RankMesh<DIM>& rm, std::size_t e, const Real* in,
                        int ndof, std::vector<Real>& y,
                        std::vector<char>& written) {
   constexpr int kC = kNumChildren<DIM>;
-  if (e < rm.plan.isPure.size() && rm.plan.isPure[e]) {
+  if (rm.plan.isPure[e]) {
     const std::uint32_t* nodes = &rm.plan.pureNodes[rm.plan.slot[e] * kC];
     for (int c = 0; c < kC; ++c) {
       Real* dst = &y[nodes[c] * ndof];
@@ -210,62 +144,43 @@ namespace matvecdetail {
 template <int DIM, typename Kernel>
 void applyRankAdd(const RankMesh<DIM>& rm, const std::vector<Real>& x,
                   std::vector<Real>& y, int ndof, bool innerThreads,
-                  obs::PhaseSet* mvps, Kernel&& kernel) {
+                  Kernel&& kernel) {
   constexpr int kC = kNumChildren<DIM>;
   const std::size_t n = rm.nElems();
   const std::size_t stride = static_cast<std::size_t>(kC) * ndof;
   auto& pool = support::ThreadPool::instance();
-  (void)mvps;
 
   if (!innerThreads || pool.threads() <= 1 || n < 2 * kMatvecWindow) {
-    PT_MV_TIMER(mvps, tg, "gather");
-    PT_MV_TIMER(mvps, tk, "kernel");
-    PT_MV_TIMER(mvps, ts, "scatter");
     std::vector<Real> uLoc(stride), rLoc(stride);
     for (std::size_t e = 0; e < n; ++e) {
-      PT_MV_START(tg);
       gatherElem(rm, e, x, ndof, uLoc.data());
-      PT_MV_STOP(tg);
-      PT_MV_START(tk);
       std::fill(rLoc.begin(), rLoc.end(), 0.0);
       kernel(e, rm.elems[e], uLoc.data(), rLoc.data());
-      PT_MV_STOP(tk);
-      PT_MV_START(ts);
       scatterAddElem(rm, e, rLoc.data(), ndof, y);
-      PT_MV_STOP(ts);
     }
     return;
   }
 
   // Windowed: parallel gather+kernel into scratch, sequential in-order
   // scatter — the scatter order (and hence the result) matches the serial
-  // loop bit-for-bit. Workers time gather/kernel into the shared atomic
-  // phases and open a span each, so the threaded timeline is visible.
+  // loop bit-for-bit. Workers open a span each, so the threaded timeline
+  // is visible.
   std::vector<Real> scratch(kMatvecWindow * stride);
-  PT_MV_TIMER(mvps, tsc, "scatter");
   for (std::size_t w0 = 0; w0 < n; w0 += kMatvecWindow) {
     const std::size_t w1 = std::min(n, w0 + kMatvecWindow);
     pool.parallelFor(w1 - w0, [&](int, std::size_t b, std::size_t e) {
       PT_SPAN("matvec-window");
-      PT_MV_TIMER(mvps, tg, "gather");
-      PT_MV_TIMER(mvps, tk, "kernel");
       std::vector<Real> uLoc(stride);
       for (std::size_t i = b; i < e; ++i) {
         const std::size_t el = w0 + i;
         Real* out = scratch.data() + i * stride;
-        PT_MV_START(tg);
         gatherElem(rm, el, x, ndof, uLoc.data());
-        PT_MV_STOP(tg);
-        PT_MV_START(tk);
         std::fill(out, out + stride, 0.0);
         kernel(el, rm.elems[el], uLoc.data(), out);
-        PT_MV_STOP(tk);
       }
     });
-    PT_MV_START(tsc);
     for (std::size_t i = 0; i < w1 - w0; ++i)
       scatterAddElem(rm, w0 + i, scratch.data() + i * stride, ndof, y);
-    PT_MV_STOP(tsc);
   }
 }
 
@@ -284,9 +199,6 @@ template <int DIM>
 void accumulateOverlapped(const Mesh<DIM>& mesh, Field& y, int ndof,
                           double workPerElem) {
   const int p = mesh.nRanks();
-  PT_MV_PHASES(mvps);
-  PT_MV_TIMER(mvps, ta, "accumulate");
-  PT_MV_START(ta);
   for (int r = 0; r < p; ++r)
     mesh.comm().chargeWork(r, workPerElem * mesh.rank(r).plan.nBoundaryElems);
   auto h = mesh.accumulateStart(y, ndof);
@@ -296,7 +208,6 @@ void accumulateOverlapped(const Mesh<DIM>& mesh, Field& y, int ndof,
     mesh.comm().chargeWork(r, workPerElem * interior);
   }
   mesh.accumulateFinish(h, y, ndof);
-  PT_MV_STOP(ta);
 }
 
 /// MATVEC variant whose kernel also receives (rank, element index) so the
@@ -307,12 +218,11 @@ template <int DIM, typename Kernel>
 void matvecIndexed(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
                    Kernel&& kernel) {
   PT_SPAN("matvec");
-  PT_MV_PHASES(mvps);
   sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     y[r].assign(rm.nNodes() * ndof, 0.0);
     matvecdetail::applyRankAdd(
-        rm, x[r], y[r], ndof, innerThreads, mvps,
+        rm, x[r], y[r], ndof, innerThreads,
         [&kernel, r](std::size_t e, const Octant<DIM>& oct, const Real* in,
                      Real* out) { kernel(r, e, oct, in, out); });
   });

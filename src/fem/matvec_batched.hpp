@@ -27,12 +27,14 @@
 // per-element engine (panel GEMM sums in a different order; the coefficient
 // folding in A_e differs from applyMass/applyStiffness's scale-after-sum),
 // so results agree with matvec()/matvecNaive() to roundoff (~1e-13 rel),
-// not bit-for-bit. Threading splits batches into static partitions with a
-// private output buffer per partition and reduces them in fixed partition
-// order, so for a fixed thread count AND a fixed kernel tier results are
-// deterministic run-to-run; across different thread counts the reduction
-// order changes and results again agree only to roundoff. Callers that
-// need bit-identity use the planned per-element engine in matvec.hpp.
+// not bit-for-bit. Callers that need bit-identity with the naive reference
+// use the planned per-element engine in matvec.hpp.
+//
+// Determinism contract: every engine here accumulates into a rank's output
+// in an order fixed by the plan alone — matvecUniform runs a rank's batches
+// in order and then its hanging elements, with ranks in parallel through
+// sim::forEachRank — so for a fixed kernel tier results are bitwise
+// identical for any thread count.
 #pragma once
 
 #include <array>
@@ -74,56 +76,6 @@ class LevelOperatorCache {
   std::array<ElemMat<DIM>, kMaxLevel + 1> ops_{};
 };
 
-namespace matvecdetail {
-
-/// Applies batches [b0, b1) of one rank's plan into yb. X/Y panel scratch
-/// is local, so concurrent calls on disjoint batch ranges are independent.
-template <int DIM>
-void applyBatchRange(const RankMesh<DIM>& rm,
-                     const std::array<const Real*, kMaxLevel + 1>& opsByLevel,
-                     const std::vector<Real>& x, std::vector<Real>& yb,
-                     int ndof, std::size_t b0, std::size_t b1, SimdIsa isa,
-                     obs::PhaseSet* mvps) {
-  constexpr int kN = kNodes<DIM>;
-  const ElemPlan& plan = rm.plan;
-  const std::size_t panelCap =
-      std::size_t(kN) * padCols(int(kMatvecBatch) * ndof);
-  PanelBuf xbuf, ybuf;
-  Real* X = xbuf.ensure(panelCap);
-  Real* Y = ybuf.ensure(panelCap);
-  (void)mvps;
-  PT_MV_TIMER(mvps, tg, "gather");
-  PT_MV_TIMER(mvps, tk, "kernel");
-  PT_MV_TIMER(mvps, ts, "scatter");
-  for (std::size_t b = b0; b < b1; ++b) {
-    const ElemPlanBatch& batch = plan.batches[b];
-    const int m = static_cast<int>(batch.end - batch.begin);
-    const int cols = m * ndof;
-    const int colsPad = padCols(cols);
-    const Real* A = opsByLevel[batch.level];
-    // Gather: zip corner values into the dof-major panel, column (e, d),
-    // unit-stride through the transposed node map; pad columns zeroed.
-    PT_MV_START(tg);
-    gatherPanelT(x.data(), &plan.pureNodesT[std::size_t(batch.begin) * kN],
-                 kN, m, ndof, colsPad, X);
-    PT_MV_STOP(tg);
-    // Kernel: Y = A * X, one dense GEMM streaming across the panel at the
-    // selected ISA tier (first rank-1 term stores, the rest accumulate —
-    // no separate zero pass).
-    PT_MV_START(tk);
-    panelGemm(isa, A, kN, X, Y, cols, colsPad);
-    PT_MV_STOP(tk);
-    // Scatter: add the result panel back through the flat node indices, in
-    // the engine's historical element-outer accumulation order.
-    PT_MV_START(ts);
-    scatterAddPanel(Y, &plan.pureNodes[std::size_t(batch.begin) * kN], kN, m,
-                    ndof, colsPad, yb.data());
-    PT_MV_STOP(ts);
-  }
-}
-
-}  // namespace matvecdetail
-
 /// Batched MATVEC for the uniform-coefficient operator
 ///   y = (massCoef * M + stiffCoef * K) x      (applied per scalar dof)
 /// — the operator family behind massMatvec, stiffnessMatvec, and the
@@ -134,18 +86,15 @@ template <int DIM>
 void matvecUniform(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
                    Real massCoef, Real stiffCoef, SimdIsa isa = simdIsa()) {
   constexpr int kN = kNodes<DIM>;
-  const int p = mesh.nRanks();
-  PT_MV_PHASES(mvps);
-  auto& pool = support::ThreadPool::instance();
-  sim::forEachRank(p, [&](int r, bool innerThreads) {
+  sim::forEachRank(mesh.nRanks(), [&](int r, bool) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
-    PT_CHECK(plan.isPure.size() == rm.nElems());
+    const std::vector<Real>& xr = x[r];
     std::vector<Real>& yr = y[r];
     yr.assign(rm.nNodes() * ndof, 0.0);
 
-    // Assemble every needed A_e up front (sequentially) so the batch loop
-    // only ever reads the cache.
+    // Assemble every needed A_e up front so the loops below only read the
+    // cache.
     LevelOperatorCache<DIM> cache(massCoef, stiffCoef);
     std::array<const Real*, kMaxLevel + 1> opsByLevel{};
     for (const ElemPlanBatch& b : plan.batches)
@@ -154,31 +103,28 @@ void matvecUniform(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
       const Level lvl = rm.elems[e].level;
       opsByLevel[lvl] = cache.at(lvl).data();
     }
+    const std::size_t panelCap =
+        std::size_t(kN) * padCols(int(kMatvecBatch) * ndof);
+    PanelBuf xbuf, ybuf;
+    Real* X = xbuf.ensure(panelCap);
+    Real* Y = ybuf.ensure(panelCap);
 
-    const int nParts =
-        (innerThreads && plan.batches.size() > 1) ? pool.threads() : 1;
-    if (nParts <= 1) {
-      matvecdetail::applyBatchRange(rm, opsByLevel, x[r], yr, ndof, 0,
-                                    plan.batches.size(), isa, mvps);
-    } else {
-      // Partition-private outputs, reduced in fixed partition order: the
-      // result depends only on (nBatches, thread count), not scheduling.
-      std::vector<std::vector<Real>> priv(nParts - 1);
-      pool.parallelFor(
-          plan.batches.size(), [&](int part, std::size_t b0, std::size_t b1) {
-            std::vector<Real>& out =
-                part == 0 ? yr
-                          : (priv[part - 1].assign(yr.size(), 0.0),
-                             priv[part - 1]);
-            matvecdetail::applyBatchRange(rm, opsByLevel, x[r], out, ndof, b0,
-                                          b1, isa, mvps);
-          });
-      pool.parallelFor(yr.size(), [&](int, std::size_t i0, std::size_t i1) {
-        for (const std::vector<Real>& pb : priv) {
-          if (pb.empty()) continue;  // partition had no batches
-          for (std::size_t i = i0; i < i1; ++i) yr[i] += pb[i];
-        }
-      });
+    for (const ElemPlanBatch& batch : plan.batches) {
+      const int m = static_cast<int>(batch.end - batch.begin);
+      const int cols = m * ndof;
+      const int colsPad = padCols(cols);
+      // Gather: zip corner values into the dof-major panel, column (e, d),
+      // unit-stride through the transposed node map; pad columns zeroed.
+      gatherPanelT(xr.data(), &plan.pureNodesT[std::size_t(batch.begin) * kN],
+                   kN, m, ndof, colsPad, X);
+      // Kernel: Y = A * X, one dense GEMM streaming across the panel at the
+      // selected ISA tier (first rank-1 term stores, the rest accumulate —
+      // no separate zero pass).
+      panelGemm(isa, opsByLevel[batch.level], kN, X, Y, cols, colsPad);
+      // Scatter: add the result panel back through the flat node indices,
+      // in the engine's historical element-outer accumulation order.
+      scatterAddPanel(Y, &plan.pureNodes[std::size_t(batch.begin) * kN], kN,
+                      m, ndof, colsPad, yr.data());
     }
 
     // Hanging elements: the weighted gather/scatter (constraint
@@ -189,53 +135,43 @@ void matvecUniform(const Mesh<DIM>& mesh, const Field& x, Field& y, int ndof,
     // and hence the accumulation order into yr, is unchanged, and per
     // (element, dof) column the GEMM performs the historical GEMV's
     // multiply-add sequence.
-    if (const std::size_t nh = plan.hangingElems.size()) {
-      std::vector<Real> uLoc(std::size_t(kN) * ndof),
-          rLoc(std::size_t(kN) * ndof);
-      const std::size_t panelCap =
-          std::size_t(kN) * padCols(int(kMatvecBatch) * ndof);
-      PanelBuf xbuf, ybuf;
-      Real* X = xbuf.ensure(panelCap);
-      Real* Y = ybuf.ensure(panelCap);
-      std::size_t i = 0;
-      while (i < nh) {
-        const Level lvl = rm.elems[plan.hangingElems[i]].level;
-        std::size_t runEnd = i + 1;
-        while (runEnd < nh && runEnd - i < kMatvecBatch &&
-               rm.elems[plan.hangingElems[runEnd]].level == lvl)
-          ++runEnd;
-        const int m = static_cast<int>(runEnd - i);
-        const int cols = m * ndof;
-        const int colsPad = padCols(cols);
-        for (int ei = 0; ei < m; ++ei) {
-          gatherElem(rm, plan.hangingElems[i + ei], x[r], ndof, uLoc.data());
-          for (int j = 0; j < kN; ++j)
-            for (int d = 0; d < ndof; ++d)
-              X[std::size_t(j) * colsPad + std::size_t(ei) * ndof + d] =
-                  uLoc[std::size_t(j) * ndof + d];
-        }
+    const std::size_t nh = plan.hangingElems.size();
+    std::vector<Real> uLoc(std::size_t(kN) * ndof),
+        rLoc(std::size_t(kN) * ndof);
+    std::size_t i = 0;
+    while (i < nh) {
+      const Level lvl = rm.elems[plan.hangingElems[i]].level;
+      std::size_t runEnd = i + 1;
+      while (runEnd < nh && runEnd - i < kMatvecBatch &&
+             rm.elems[plan.hangingElems[runEnd]].level == lvl)
+        ++runEnd;
+      const int m = static_cast<int>(runEnd - i);
+      const int cols = m * ndof;
+      const int colsPad = padCols(cols);
+      for (int ei = 0; ei < m; ++ei) {
+        gatherElem(rm, plan.hangingElems[i + ei], xr, ndof, uLoc.data());
         for (int j = 0; j < kN; ++j)
-          for (int c = cols; c < colsPad; ++c)
-            X[std::size_t(j) * colsPad + c] = 0.0;
-        panelGemm(isa, opsByLevel[lvl], kN, X, Y, cols, colsPad);
-        for (int ei = 0; ei < m; ++ei) {
-          for (int j = 0; j < kN; ++j)
-            for (int d = 0; d < ndof; ++d)
-              rLoc[std::size_t(j) * ndof + d] =
-                  Y[std::size_t(j) * colsPad + std::size_t(ei) * ndof + d];
-          scatterAddElem(rm, plan.hangingElems[i + ei], rLoc.data(), ndof,
-                         yr);
-        }
-        i = runEnd;
+          for (int d = 0; d < ndof; ++d)
+            X[std::size_t(j) * colsPad + std::size_t(ei) * ndof + d] =
+                uLoc[std::size_t(j) * ndof + d];
       }
+      for (int j = 0; j < kN; ++j)
+        for (int c = cols; c < colsPad; ++c)
+          X[std::size_t(j) * colsPad + c] = 0.0;
+      panelGemm(isa, opsByLevel[lvl], kN, X, Y, cols, colsPad);
+      for (int ei = 0; ei < m; ++ei) {
+        for (int j = 0; j < kN; ++j)
+          for (int d = 0; d < ndof; ++d)
+            rLoc[std::size_t(j) * ndof + d] =
+                Y[std::size_t(j) * colsPad + std::size_t(ei) * ndof + d];
+        scatterAddElem(rm, plan.hangingElems[i + ei], rLoc.data(), ndof, yr);
+      }
+      i = runEnd;
     }
 
     mesh.comm().chargeWork(r, matvecWorkPerElem<DIM>(ndof) * rm.nElems());
   });
-  PT_MV_TIMER(mvps, ta, "accumulate");
-  PT_MV_START(ta);
   mesh.accumulate(y, ndof);
-  PT_MV_STOP(ta);
 }
 
 namespace matvecdetail {
@@ -433,15 +369,14 @@ double coefWorkPerElem(int ndof) {
 /// CH approximate-Jacobian 2x2 blocks, the component-diagonal NS momentum
 /// diagonal, and the variable-coefficient pressure Poisson operator.
 ///
-/// Determinism contract (stronger than matvecUniform's): for a fixed
-/// kernel tier, results are bitwise identical for ANY thread count — and
-/// the scalar tier is bitwise identical to the historical (pre-SIMD)
-/// engine. The per-batch panel products
-/// (gather + two GEMMs) carry no cross-batch dependencies and run in
-/// parallel into per-batch slots of one pre-sized buffer; the scatter then
-/// runs serially in ascending batch order, followed by the serial
-/// hanging-element sweep, so the accumulation order into y is a pure
-/// function of the plan.
+/// Determinism contract (the header's): for a fixed kernel tier, results
+/// are bitwise identical for ANY thread count — and the scalar tier is
+/// bitwise identical to the historical (pre-SIMD) engine. The per-batch
+/// panel products (gather + two GEMMs) carry no cross-batch dependencies
+/// and run in parallel into per-batch slots of one pre-sized buffer; the
+/// scatter then runs serially in ascending batch order, followed by the
+/// serial hanging-element sweep, so the accumulation order into y is a
+/// pure function of the plan.
 ///
 /// The accumulate overlaps the interior work (accumulateOverlapped,
 /// DESIGN.md §15).
@@ -455,7 +390,6 @@ void matvecCoefBlocks(const Mesh<DIM>& mesh, const Field& x, Field& y,
   sim::forEachRank(mesh.nRanks(), [&](int r, bool innerThreads) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
-    PT_CHECK(plan.isPure.size() == rm.nElems());
     PT_CHECK(cM[r].size() == rm.nElems() * std::size_t(ndof * ndof));
     PT_CHECK(cK[r].size() == rm.nElems() * std::size_t(ndof * ndof));
     std::vector<Real>& yr = y[r];

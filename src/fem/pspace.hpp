@@ -74,7 +74,7 @@ class PSpace {
     std::map<Key, std::vector<std::pair<int, std::uint32_t>>> sharers;
     for (int r = 0; r < p; ++r) {
       const RankMesh<DIM>& rm = mesh.rank(r);
-      PT_CHECK(rm.plan.built() && rm.plan.nHanging() == 0 &&
+      PT_CHECK(rm.plan.nHanging() == 0 &&
                "PSpace requires a hanging-free (conforming) mesh");
       RankSpace& rs = ranks_[r];
       const std::size_t ne = rm.nElems();

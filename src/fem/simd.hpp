@@ -23,11 +23,9 @@
 //
 // Accuracy: the vector tiers reassociate (vector-lane partial sums) and
 // contract multiply-adds to FMAs, so they agree with the scalar tier to
-// roundoff (~1e-13 rel), not bitwise. For a FIXED tier and thread count
-// every kernel is a pure function of its inputs, so engine-level
-// determinism contracts (matvecCoefBlocks' any-thread-count bitwise
-// invariance, matvecUniform's fixed-thread-count determinism) are
-// preserved under every tier.
+// roundoff (~1e-13 rel), not bitwise. For a FIXED tier every kernel is a
+// pure function of its inputs, so the batched engines' contract — bitwise
+// identical results for any thread count — holds under every tier.
 #pragma once
 
 #include <cstdint>

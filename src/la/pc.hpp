@@ -41,7 +41,6 @@ Field assembleDiagonalBlocks(const Mesh<DIM>& mesh, int ndof,
   for (int r = 0; r < mesh.nRanks(); ++r) {
     const RankMesh<DIM>& rm = mesh.rank(r);
     const ElemPlan& plan = rm.plan;
-    const bool havePlan = plan.isPure.size() == rm.nElems();
     for (std::size_t e = 0; e < rm.nElems(); ++e) {
       std::fill(Ae.begin(), Ae.end(), 0.0);
       elemMat(r, e, rm.elems[e], Ae.data());
@@ -49,7 +48,7 @@ Field assembleDiagonalBlocks(const Mesh<DIM>& mesh, int ndof,
       // support scan collapses to the plan's direct node indices and the
       // w = 1 * 1 multiply drops out — bitwise identical to the general
       // walk below, which this fast path replays with hi - lo == 1.
-      if (havePlan && plan.isPure[e]) {
+      if (plan.isPure[e]) {
         const std::uint32_t* nodes =
             &plan.pureNodes[std::size_t(plan.slot[e]) * kC];
         for (int c1 = 0; c1 < kC; ++c1)

@@ -108,7 +108,7 @@ void scatterInsertElemCollect(const RankMesh<DIM>& rm, std::size_t e,
                               std::vector<char>& written,
                               std::vector<std::int32_t>& dirty) {
   constexpr int kC = kNumChildren<DIM>;
-  if (e < rm.plan.isPure.size() && rm.plan.isPure[e]) {
+  if (rm.plan.isPure[e]) {
     const std::uint32_t* nodes = &rm.plan.pureNodes[rm.plan.slot[e] * kC];
     for (int c = 0; c < kC; ++c) {
       y[nodes[c]] = in[c];

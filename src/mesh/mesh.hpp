@@ -56,7 +56,9 @@ struct ElemPlanBatch {
 
 /// Precomputed traversal plan for the MATVEC engine (built once per
 /// RankMesh at mesh construction; meshes are immutable, so a remesh
-/// rebuilds the plan with the new RankMesh).
+/// rebuilds the plan with the new RankMesh). Every RankMesh comes from
+/// Mesh::build, so every RankMesh has its plan and readers index it
+/// without a size check.
 ///
 /// Elements are split into a *pure* set — every corner has exactly one
 /// support with weight 1, so gather/scatter are direct indexed copies with
@@ -68,8 +70,8 @@ struct ElemPlanBatch {
 /// batched GEMM apply path.
 struct ElemPlan {
   std::vector<char> isPure;              ///< per element
-  std::vector<std::uint32_t> slot;       ///< per element: index into
-                                         ///< pureElems or hangingElems
+  std::vector<std::uint32_t> slot;       ///< per pure element: index into
+                                         ///< pureElems (0 when hanging)
   std::vector<std::uint32_t> pureElems;  ///< sorted by (level, elem index)
   std::vector<std::uint32_t> pureNodes;  ///< kCorners node ids per pure slot
   /// Transposed (struct-of-arrays) copy of pureNodes, blocked per batch:
@@ -81,7 +83,6 @@ struct ElemPlan {
   std::vector<std::uint32_t> pureNodesT;
   std::vector<std::uint32_t> hangingElems;  ///< ascending element index
   std::vector<ElemPlanBatch> batches;       ///< cover pureElems exactly
-  std::vector<std::uint32_t> batchOf;       ///< per pure slot: batch index
 
   /// Boundary elements, over pure + hanging, for the overlap charge
   /// (DESIGN.md §15): an element is *boundary* when any corner support is a
@@ -90,7 +91,6 @@ struct ElemPlan {
   /// accumulate exchange is in flight.
   std::size_t nBoundaryElems = 0;
 
-  bool built() const { return !slot.empty() || isPure.empty(); }
   std::size_t nPure() const { return pureElems.size(); }
   std::size_t nHanging() const { return hangingElems.size(); }
 };
@@ -251,9 +251,9 @@ CellAnswer<DIM> answerCellQuery(
 
 }  // namespace meshdetail
 
-/// Builds the MATVEC traversal plan for one rank (see ElemPlan). O(nElems *
-/// kCorners); called from Mesh::build, exposed for tests and for callers
-/// that assemble a RankMesh by hand.
+/// Builds the MATVEC traversal plan for one rank (see ElemPlan), after the
+/// rank's supports and sharer tables. O(nElems * kCorners); Mesh::build
+/// calls it for every rank.
 template <int DIM>
 void buildElemPlan(RankMesh<DIM>& rm) {
   constexpr int kC = kNumChildren<DIM>;
@@ -294,11 +294,8 @@ void buildElemPlan(RankMesh<DIM>& rm) {
       plan.pureNodes[i * kC + c] = static_cast<std::uint32_t>(
           rm.supports[rm.cornerOffset[e * kC + c]].node);
   }
-  for (std::size_t i = 0; i < plan.hangingElems.size(); ++i)
-    plan.slot[plan.hangingElems[i]] = static_cast<std::uint32_t>(i);
 
   // Cache-sized batches of uniform level over the sorted pure list.
-  plan.batchOf.resize(plan.pureElems.size());
   std::size_t i = 0;
   while (i < plan.pureElems.size()) {
     const Level lvl = rm.elems[plan.pureElems[i]].level;
@@ -306,8 +303,6 @@ void buildElemPlan(RankMesh<DIM>& rm) {
     while (j < plan.pureElems.size() && j - i < kMatvecBatch &&
            rm.elems[plan.pureElems[j]].level == lvl)
       ++j;
-    for (std::size_t k = i; k < j; ++k)
-      plan.batchOf[k] = static_cast<std::uint32_t>(plan.batches.size());
     plan.batches.push_back({static_cast<std::uint32_t>(i),
                             static_cast<std::uint32_t>(j), lvl});
     i = j;
@@ -324,9 +319,7 @@ void buildElemPlan(RankMesh<DIM>& rm) {
         blockT[std::size_t(c) * m + ei] = block[ei * kC + c];
   }
 
-  // Boundary count (overlap). Hand-assembled RankMeshes (tests) may lack
-  // sharer tables; every element then counts as interior.
-  if (rm.nodeSharers.size() != rm.nNodes()) return;
+  // Boundary count (overlap).
   for (std::size_t e = 0; e < n; ++e) {
     const std::uint32_t lo = rm.cornerOffset[e * kC];
     const std::uint32_t hi = rm.cornerOffset[e * kC + kC];

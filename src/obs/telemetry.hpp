@@ -4,8 +4,6 @@
 // StepReporter / BenchReport (obs/report.hpp).
 #pragma once
 
-#include <cstdlib>
-
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/rankstats.hpp"
@@ -15,13 +13,7 @@ namespace pt::obs {
 
 template <typename Comm>
 struct Telemetry {
-  Telemetry() {
-    Tracer::initFromEnv();
-    // PT_RANK_STATS=1 turns on per-rank phase attribution (off by default:
-    // it snapshots size() clocks per instrumented phase).
-    if (const char* p = std::getenv("PT_RANK_STATS"))
-      if (p[0] == '1') ranks.setEnabled(true);
-  }
+  Telemetry() { Tracer::initFromEnv(); }
 
   PhaseSet phases;
   Registry metrics;

@@ -61,10 +61,6 @@ class ThreadPool {
   /// Number of participants (>= 1). 1 means fully serial.
   int threads() const { return nThreads_; }
 
-  /// True on a pool worker thread (or inside a TaskQueue task, which runs
-  /// with the same inline-parallelFor semantics).
-  static bool inWorker() { return inWorker_; }
-
   /// Resizes the pool. n <= 1 tears all workers down (serial mode).
   /// Blocks until any in-flight parallelFor or TaskQueue drain finishes;
   /// must not be called from inside a parallelFor callback or a task

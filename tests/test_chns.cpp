@@ -156,11 +156,27 @@ TEST(ChnsSolver, AllInnerSolversConverge) {
   EXPECT_TRUE(s.lastNs_.converged);
   EXPECT_TRUE(s.lastPp_.converged);
   EXPECT_GT(s.lastVuIterations_, 0);
+  EXPECT_EQ(s.telemetry().metrics.counter("chNewtonUnconverged").value(), 0);
   // Per-phase timers were populated (Fig 5's decomposition).
   EXPECT_GT(s.timers()["ch-solve"].seconds(), 0.0);
   EXPECT_GT(s.timers()["ns-solve"].seconds(), 0.0);
   EXPECT_GT(s.timers()["pp-solve"].seconds(), 0.0);
   EXPECT_GT(s.timers()["vu-solve"].seconds(), 0.0);
+}
+
+// A zero tolerance is never met, so every CH Newton block runs to its cap
+// and chNewtonUnconverged counts each one.
+TEST(ChnsSolver, CountsUnconvergedChNewtonBlocks) {
+  auto opt = baseOptions();
+  opt.chNewton.rtol = 0;
+  opt.chNewton.atol = 0;
+  opt.chNewton.maxIterations = 2;
+  sim::SimComm comm(3, sim::Machine::loopback());
+  auto s = makeDropSolver(comm, 4, opt);
+  const int steps = 2;
+  for (int i = 0; i < steps; ++i) s.step();
+  EXPECT_EQ(s.telemetry().metrics.counter("chNewtonUnconverged").value(),
+            steps * opt.blocksPerStep);
 }
 
 TEST(ChnsSolver, PartitionInvarianceOfDiagnostics) {

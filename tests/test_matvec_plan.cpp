@@ -118,8 +118,6 @@ void checkPlanInvariants(const Mesh<DIM>& mesh) {
         for (int c = 0; c < kC; ++c)
           EXPECT_EQ(plan.pureNodes[slot * kC + c],
                     rm.supports[rm.cornerOffset[e * kC + c]].node);
-      } else {
-        EXPECT_EQ(plan.hangingElems[plan.slot[e]], e);
       }
     }
     // Batches cover pureElems exactly, in order, uniform level, bounded.
@@ -129,10 +127,8 @@ void checkPlanInvariants(const Mesh<DIM>& mesh) {
       EXPECT_EQ(batch.begin, covered);
       ASSERT_GT(batch.end, batch.begin);
       EXPECT_LE(batch.end - batch.begin, kMatvecBatch);
-      for (std::uint32_t i = batch.begin; i < batch.end; ++i) {
+      for (std::uint32_t i = batch.begin; i < batch.end; ++i)
         EXPECT_EQ(rm.elems[plan.pureElems[i]].level, batch.level);
-        EXPECT_EQ(plan.batchOf[i], b);
-      }
       covered = batch.end;
     }
     EXPECT_EQ(covered, plan.nPure());
@@ -219,12 +215,11 @@ TEST(MatvecPlan, ThreadedMatchesSerial) {
   fem::matvecUniform<3>(mesh, x, y4b, ndof, massCoef, stiffCoef);
   pool.setThreads(1);
 
-  // Per-element engine: bit-identical across thread counts (windowed
-  // compute, sequential element-order scatter).
+  // Both engines: bit-identical across thread counts (per-element: windowed
+  // compute, sequential element-order scatter; batched: each rank's batches
+  // in plan order).
   EXPECT_EQ(maxDiff(y1, y4), 0.0);
-  // Batched engine: partition-private reduction reassociates -> 1e-13.
-  const Real scale = std::max(Real(1), maxAbs(y1b));
-  EXPECT_LE(maxDiff(y1b, y4b) / scale, 1e-13);
+  EXPECT_EQ(maxDiff(y1b, y4b), 0.0);
 }
 
 // ---- Pool lifecycle ---------------------------------------------------------

@@ -550,33 +550,5 @@ TEST(ObsTelemetry, SolverPopulatesMetricsAndRankStats) {
   (void)stats0;
 }
 
-#ifdef PT_MATVEC_TIMERS
-TEST(ObsMatvec, PhasesAccumulateUnderThreadedPools) {
-  // With a 4-participant pool the matvec phase accumulators installed by a
-  // MatvecPhaseScope must record, including laps from pool workers.
-  auto& pool = support::ThreadPool::instance();
-  pool.setThreads(4);
-  sim::SimComm comm(2, sim::Machine::loopback());
-  auto tree = DistTree<2>::fromGlobal(comm, uniformTree<2>(4));
-  auto mesh = Mesh<2>::build(comm, tree);
-  Field x = mesh.makeField(1), y = mesh.makeField(1);
-  for (auto& v : x[0]) v = 1.0;
-  for (auto& v : x[1]) v = 1.0;
-  obs::PhaseSet phases;
-  {
-    fem::MatvecPhaseScope scope(phases);
-    fem::massMatvec(mesh, x, y);
-  }
-  EXPECT_GT(phases["kernel"].calls(), 0);
-  EXPECT_GT(phases["gather"].calls(), 0);
-  // Outside any scope the engines have no sink and record nothing.
-  EXPECT_EQ(fem::activeMatvecPhases(), nullptr);
-  const long kernelCalls = phases["kernel"].calls();
-  fem::massMatvec(mesh, x, y);
-  EXPECT_EQ(phases["kernel"].calls(), kernelCalls);
-  pool.setThreads(1);
-}
-#endif
-
 }  // namespace
 }  // namespace pt

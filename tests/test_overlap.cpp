@@ -470,18 +470,6 @@ chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm) {
   return s;
 }
 
-#ifdef PT_MATVEC_TIMERS
-TEST(SolverOverlap, MatvecPhasesRouteToSolverTelemetry) {
-  // The solver installs a MatvecPhaseScope per step, so engine phase laps
-  // land in ITS telemetry (job-separable).
-  sim::SimComm comm(2, sim::Machine::loopback());
-  auto s = makeDropSolver<2>(comm);
-  const long ownBefore = s.timers()["kernel"].calls();
-  s.step();
-  EXPECT_GT(s.timers()["kernel"].calls(), ownBefore);
-}
-#endif
-
 TEST(SolverOverlap, ThreadedOverlapMatchesSerial) {
   sim::SimComm c1(2, sim::Machine::loopback());
   auto serial = makeDropSolver<2>(c1);

@@ -333,6 +333,33 @@ TEST(SimdKernels, MatvecCoefBlocksTierEquivalenceAndDeterminism3D) {
   for (int ndof : {1, 2, 5}) tierEquivalenceCoefBlocks<3>(2, ndof);
 }
 
+/// On one rank sim::forEachRank has no ranks to spread over the pool, so
+/// any thread-count dependence of matvecUniform would show here: it must
+/// be bitwise identical at 1 and 4 threads, hanging sweep included.
+TEST(SimdKernels, MatvecUniformBitwiseAcrossThreadsOnOneRank) {
+  sim::SimComm comm(1, sim::Machine::loopback());
+  auto mesh = makeMesh<3>(comm, 1, 4);
+  ASSERT_GT(mesh.rank(0).plan.nHanging(), 0u);
+  ASSERT_GT(mesh.rank(0).plan.batches.size(), 1u);
+  auto& pool = support::ThreadPool::instance();
+  for (int ndof : {1, 5}) {
+    Field x = randomInput(mesh, ndof, 41);
+    for (fem::SimdIsa isa : availableTiers()) {
+      Field y1 = mesh.makeField(ndof), y4 = mesh.makeField(ndof);
+      pool.setThreads(1);
+      fem::matvecUniform<3>(mesh, x, y1, ndof, 1.3, 0.7, isa);
+      pool.setThreads(4);
+      fem::matvecUniform<3>(mesh, x, y4, ndof, 1.3, 0.7, isa);
+      pool.setThreads(1);
+      std::size_t differing = 0;
+      for (std::size_t i = 0; i < y1[0].size(); ++i)
+        differing += y1[0][i] != y4[0][i];
+      EXPECT_EQ(differing, 0u)
+          << "ndof=" << ndof << " isa=" << fem::simdIsaName(isa);
+    }
+  }
+}
+
 /// A tiny uniform mesh whose element count is far below kMatvecBatch: the
 /// whole engine runs on tail batches, every tier.
 TEST(SimdKernels, TailOnlyBatches) {
