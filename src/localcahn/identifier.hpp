@@ -356,10 +356,12 @@ sim::PerRank<std::vector<int>> identifyMultiLevelCahn(
   for (int r = 0; r < p; ++r) out[r].assign(mesh.rank(r).nElems(), 0);
   for (std::size_t s = 0; s < stages.size(); ++s) {
     ElemField cn = identifyLocalCahn(mesh, phi, bl, stages[s].params);
-    for (int r = 0; r < p; ++r)
+    sim::forEachRank(p, [&](int r, bool) {
       for (std::size_t e = 0; e < cn[r].size(); ++e)
         if (cn[r][e] == stages[s].params.cnFine)
           out[r][e] = static_cast<int>(s + 1);
+      mesh.comm().chargeWork(r, cn[r].size());
+    });
   }
   return out;
 }
@@ -371,11 +373,12 @@ ElemField cnFromStages(const Mesh<DIM>& mesh,
                        Real ambientCn, const std::vector<CnStage<DIM>>& stages) {
   const int p = mesh.nRanks();
   ElemField cn(p);
-  for (int r = 0; r < p; ++r) {
+  sim::forEachRank(p, [&](int r, bool) {
     cn[r].assign(stageIdx[r].size(), ambientCn);
     for (std::size_t e = 0; e < stageIdx[r].size(); ++e)
       if (stageIdx[r][e] > 0) cn[r][e] = stages[stageIdx[r][e] - 1].cn;
-  }
+    mesh.comm().chargeWork(r, stageIdx[r].size());
+  });
   return cn;
 }
 

@@ -15,7 +15,7 @@
 #include "fem/matvec.hpp"
 #include "io/checkpoint.hpp"
 #include "octree/balance.hpp"
-#include "support/faultinject.hpp"
+#include "faultinject.hpp"
 #include "validate/invariants.hpp"
 
 namespace pt {

@@ -319,6 +319,47 @@ TEST(OctreeIdentify, MultiLevelCahnStages) {
   EXPECT_EQ(mediumStage, 1);  // medium drop only flagged by deep erosion
 }
 
+// The multi-level passes run through the rank loop and charge their
+// per-element work: two stages cost more than their two identifyLocalCahn
+// runs, and mapping stage indices to Cn values advances the clock.
+TEST(OctreeIdentify, MultiLevelCahnChargesItsPasses) {
+  const Level L = 5;
+  localcahn::CnStage<2> s1, s2;
+  s1.params.erodeSteps = 5;
+  s1.cn = 0.015;
+  s2.params.erodeSteps = 2;
+  s2.cn = 0.0075;
+  auto clockOf = [&](int p, const auto& run) {
+    sim::SimComm comm(p, sim::Machine::loopback());
+    auto mesh = uniformMesh<2>(comm, L);
+    Field phi = phiOnMesh(mesh, [](const VecN<2>& x) {
+      return apps::dropPhi<2>(x, VecN<2>{{0.4, 0.5}}, 0.13, 0.006);
+    });
+    const double t0 = comm.time();
+    run(mesh, phi);
+    return comm.time() - t0;
+  };
+  const double t1 = clockOf(1, [&](const Mesh<2>& m, const Field& phi) {
+    localcahn::identifyLocalCahn(m, phi, L, s1.params);
+  });
+  const double t2 = clockOf(1, [&](const Mesh<2>& m, const Field& phi) {
+    localcahn::identifyLocalCahn(m, phi, L, s2.params);
+  });
+  const double multi = clockOf(1, [&](const Mesh<2>& m, const Field& phi) {
+    localcahn::identifyMultiLevelCahn<2>(m, phi, L, {s1, s2});
+  });
+  EXPECT_GT(multi, (t1 + t2) * (1 + 1e-9));
+  for (int p : {1, 3}) {
+    const double mapOnly = clockOf(p, [&](const Mesh<2>& m, const Field&) {
+      sim::PerRank<std::vector<int>> idx(p);
+      for (int r = 0; r < p; ++r) idx[r].assign(m.rank(r).nElems(), 1);
+      auto cn = localcahn::cnFromStages<2>(m, idx, 0.02, {s1, s2});
+      EXPECT_EQ(cn[0].front(), s1.cn);
+    });
+    EXPECT_GT(mapOnly, 0.0) << p << " ranks";
+  }
+}
+
 TEST(OctreeIdentify, RefineLevelsFollowInterfaceAndFeatures) {
   sim::SimComm comm(1, sim::Machine::loopback());
   const Level L = 5;

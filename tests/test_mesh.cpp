@@ -141,6 +141,71 @@ TEST_P(MeshP, HangingSupportsAreRealNodes) {
   }
 }
 
+/// The hanging rule evaluated on the gathered tree, one incident cell at a
+/// time: corner v of `elem` hangs iff some cell incident to v lies in a
+/// leaf coarser than `elem` that does not have v as a corner.
+template <int DIM>
+bool bruteForceHanging(const OctList<DIM>& all, const Octant<DIM>& elem,
+                       const NodeKey<DIM>& v) {
+  for (int inc = 0; inc < kNumChildren<DIM>; ++inc) {
+    std::array<std::uint32_t, DIM> q;
+    bool valid = true;
+    for (int d = 0; d < DIM; ++d) {
+      const bool below = (inc >> d) & 1;
+      valid = valid && (below ? v[d] > 0 : v[d] < kMaxCoord);
+      q[d] = below ? v[d] - 1 : v[d];
+    }
+    if (!valid) continue;
+    const std::int64_t idx = locatePoint(all, q);
+    if (idx >= 0 && all[idx].level < elem.level &&
+        !isCornerOf<DIM>(v, all[idx]))
+      return true;
+  }
+  return false;
+}
+
+template <int DIM>
+void expectHangingMatchesBruteForce(int p, const OctList<DIM>& tree) {
+  constexpr int kC = kNumChildren<DIM>;
+  sim::SimComm comm(p, sim::Machine::loopback());
+  auto dt = makeDistTree<DIM>(comm, tree);
+  auto mesh = Mesh<DIM>::build(comm, dt);
+  const OctList<DIM> all = dt.gather();
+  std::size_t nHanging = 0;
+  for (int r = 0; r < p; ++r) {
+    const auto& rm = mesh.rank(r);
+    for (std::size_t e = 0; e < rm.nElems(); ++e)
+      for (int c = 0; c < kC; ++c) {
+        const bool expect =
+            bruteForceHanging<DIM>(all, rm.elems[e], cornerKey(rm.elems[e], c));
+        EXPECT_EQ(rm.cornerIsHanging[e * kC + c] != 0, expect)
+            << "rank " << r << " " << rm.elems[e] << " corner " << c;
+        nHanging += expect;
+      }
+  }
+  EXPECT_GT(nHanging, 0u);
+}
+
+// Hanging detection asks one query per parent-neighbour region; the flags
+// must equal the rule applied to every incident cell, on balanced trees and
+// on an unbalanced one (the rule needs no 2:1 balance).
+TEST_P(MeshP, HangingFlagsMatchBruteForce) {
+  const int p = GetParam().ranks;
+  expectHangingMatchesBruteForce<2>(p, interfaceTree<2>(2, 6));
+  expectHangingMatchesBruteForce<3>(p, interfaceTree<3>(1, 4));
+  OctList<2> unbalanced;
+  buildTree<2>(
+      Octant<2>::root(),
+      [](const Octant<2>& o) {
+        auto c = o.centerCoords();
+        const Real r = std::hypot(c[0] - 0.4, c[1] - 0.6);
+        return std::abs(r - 0.25) < o.physSize() ? Level(7) : Level(2);
+      },
+      unbalanced);
+  ASSERT_FALSE(isBalanced(unbalanced));
+  expectHangingMatchesBruteForce<2>(p, unbalanced);
+}
+
 // The decisive correctness test: hanging interpolation must reproduce
 // globally linear fields exactly at every element corner.
 TEST_P(MeshP, LinearFieldReproducedExactly2D) {

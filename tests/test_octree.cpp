@@ -27,6 +27,91 @@ OctList<DIM> randomTree(Rng& rng, Level maxLevel, Real refineProb) {
   return out;
 }
 
+/// The full 2:1 ripple, independent of the library's balance: every round
+/// examines every leaf and every same-level neighbour, until a round asks
+/// for nothing. `rounds` receives the number of rounds that refined.
+template <int DIM>
+OctList<DIM> referenceBalance(OctList<DIM> leaves, int* rounds = nullptr) {
+  if (rounds) *rounds = 0;
+  OctList<DIM> nbrs;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::vector<Level> want(leaves.size());
+    for (std::size_t i = 0; i < leaves.size(); ++i) want[i] = leaves[i].level;
+    for (const auto& leaf : leaves) {
+      if (leaf.level <= 1) continue;
+      nbrs.clear();
+      appendNeighbors(leaf, nbrs);
+      const Level need = static_cast<Level>(leaf.level - 1);
+      for (const auto& n : nbrs) {
+        const std::int64_t idx = locatePoint(leaves, n.x);
+        if (idx >= 0 && want[idx] < need) {
+          want[idx] = need;
+          changed = true;
+        }
+      }
+    }
+    if (!changed) break;
+    leaves = refine(leaves, want);
+    if (rounds) ++*rounds;
+  }
+  return leaves;
+}
+
+/// A balanced tree refined around a circle/sphere of radius 0.3.
+template <int DIM>
+OctList<DIM> shellTree(Level coarse, Level fine) {
+  OctList<DIM> tree;
+  buildTree<DIM>(
+      Octant<DIM>::root(),
+      [=](const Octant<DIM>& o) {
+        auto c = o.centerCoords();
+        Real r2 = 0;
+        for (int d = 0; d < DIM; ++d) r2 += (c[d] - 0.5) * (c[d] - 0.5);
+        return std::abs(std::sqrt(r2) - 0.3) < 2.0 * o.physSize() ? fine
+                                                                   : coarse;
+      },
+      tree);
+  return referenceBalance(tree);
+}
+
+/// The tree a remesh hands to balance: a balanced shell tree whose finest
+/// leaves along a rod (x = 0.71, y < 0.5, z = 0.47) are refined three
+/// levels deeper, and whose complete sibling families below the finest
+/// level are coarsened into their parents, so coarsened leaves sit beside
+/// unchanged fine ones.
+template <int DIM>
+OctList<DIM> remeshShapedTree(Level coarse, Level fine) {
+  OctList<DIM> tree = shellTree<DIM>(coarse, fine);
+  auto onRod = [](const Octant<DIM>& o) {
+    const Real h = o.physSize();
+    const auto a = o.anchorCoords();
+    bool hit = a[0] <= 0.71 && 0.71 < a[0] + h && a[1] < 0.5;
+    if (DIM == 3) hit = hit && a[2] <= 0.47 && 0.47 < a[2] + h;
+    return hit;
+  };
+  std::vector<Level> want(tree.size());
+  for (std::size_t i = 0; i < tree.size(); ++i)
+    want[i] = tree[i].level + (tree[i].level == fine && onRod(tree[i]) ? 3 : 0);
+  tree = refine(tree, want);
+  constexpr int kC = kNumChildren<DIM>;
+  OctList<DIM> out;
+  for (std::size_t i = 0; i < tree.size();) {
+    const Octant<DIM> par = tree[i].parent();
+    bool family = tree[i].level > 1 && tree[i].level < fine &&
+                  tree[i].childIndex() == 0 && i + kC <= tree.size();
+    for (int c = 1; family && c < kC; ++c) family = tree[i + c] == par.child(c);
+    if (family) {
+      out.push_back(par);
+      i += kC;
+    } else {
+      out.push_back(tree[i++]);
+    }
+  }
+  return out;
+}
+
 // ---- Octant basics ---------------------------------------------------------
 
 template <typename T>
@@ -296,6 +381,7 @@ TYPED_TEST(OctantTyped, BalanceEnforcesTwoToOne) {
   OctList<D> tree = refine(coarse, want);
   EXPECT_FALSE(isBalanced(tree));
   OctList<D> bal = balanceTree(tree);
+  EXPECT_TRUE(bal == referenceBalance(tree));
   EXPECT_TRUE(isLinear(bal));
   EXPECT_TRUE(isBalanced(bal));
   EXPECT_NEAR(coveredVolume(bal), 1.0, 1e-12);
@@ -374,10 +460,24 @@ TEST(DistTree, FromUnsortedLinearizesAcrossRanks) {
 
 class DistBalanceP : public ::testing::TestWithParam<int> {};
 
-TEST_P(DistBalanceP, MatchesSerialBalance) {
-  const int p = GetParam();
+/// balanceDistTree on `p` ranks reproduces the reference ripple exactly.
+template <int DIM>
+void expectMatchesReference(int p, const OctList<DIM>& tree,
+                            int minRounds = 1) {
+  int rounds = 0;
+  const OctList<DIM> expect = referenceBalance(tree, &rounds);
+  EXPECT_GE(rounds, minRounds);
   sim::SimComm comm(p, sim::Machine::loopback());
-  Rng rng(31);
+  auto dt = DistTree<DIM>::fromGlobal(comm, tree);
+  balanceDistTree(dt);
+  EXPECT_TRUE(dt.globallyLinear());
+  auto got = dt.gather();
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()));
+  EXPECT_TRUE(isBalanced(got));
+}
+
+TEST_P(DistBalanceP, SphereShell3DMatchesReference) {
   OctList<3> tree;
   buildTree<3>(
       Octant<3>::root(),
@@ -389,14 +489,37 @@ TEST_P(DistBalanceP, MatchesSerialBalance) {
         return std::abs(std::sqrt(r2) - 0.25) < 0.05 ? Level(5) : Level(2);
       },
       tree);
-  auto dt = DistTree<3>::fromGlobal(comm, tree);
-  balanceDistTree(dt);
-  EXPECT_TRUE(dt.globallyLinear());
-  OctList<3> serial = balanceTree(tree);
-  auto got = dt.gather();
-  ASSERT_EQ(got.size(), serial.size());
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), serial.begin()));
-  EXPECT_TRUE(isBalanced(got));
+  expectMatchesReference<3>(GetParam(), tree);
+}
+
+TEST_P(DistBalanceP, TwoDimensionalInputsMatchReference) {
+  OctList<2> deepCorner = uniformTree<2>(1);
+  std::vector<Level> want(deepCorner.size(), Level(1));
+  want[3] = 7;
+  expectMatchesReference<2>(GetParam(), refine(deepCorner, want));
+  // An unbalanced circle: level 8 at the interface, level 2 elsewhere.
+  OctList<2> circle;
+  buildTree<2>(
+      Octant<2>::root(),
+      [](const Octant<2>& o) {
+        auto c = o.centerCoords();
+        const Real r = std::hypot(c[0] - 0.45, c[1] - 0.55);
+        return std::abs(r - 0.3) < o.physSize() ? Level(8) : Level(2);
+      },
+      circle);
+  expectMatchesReference<2>(GetParam(), circle, 3);
+  Rng rng(11);
+  expectMatchesReference<2>(GetParam(), randomTree<2>(rng, 8, 0.45), 3);
+}
+
+TEST_P(DistBalanceP, RemeshShapedInputsMatchReference) {
+  expectMatchesReference<2>(GetParam(), remeshShapedTree<2>(2, 6), 3);
+  expectMatchesReference<3>(GetParam(), remeshShapedTree<3>(2, 4), 3);
+}
+
+TEST_P(DistBalanceP, RandomThreeDimensionalTreeMatchesReference) {
+  Rng rng(11);
+  expectMatchesReference<3>(GetParam(), randomTree<3>(rng, 5, 0.4), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DistBalanceP, ::testing::Values(1, 2, 3, 7));

@@ -19,7 +19,8 @@
 # 5. tsan: ThreadSanitizer at PT_NUM_THREADS=4 over every suite that races
 #    the pool: FieldSpace kernels, pooled KSP solves and blocked BSR SpMV
 #    (la, ksp_threading), CHNS steps, restart-under-fault paths, the
-#    threaded identify/mesh-build loops (remesh_fastpath), V-cycles (gmg),
+#    threaded identify/mesh-build loops (remesh_fastpath), the balance
+#    rank loops (octree) and the mesh-build rank loops (mesh), V-cycles (gmg),
 #    span recording and counter atomicity (obs), the SIMD tiers' shared
 #    operator caches (simd_kernels, highorder), the split-phase engines
 #    (overlap) and the farm's shared cache and job bookkeeping (farm).
@@ -82,9 +83,9 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan \
   --target test_la test_chns test_ksp_threading test_checkpoint_robustness \
   test_remesh_fastpath test_gmg test_obs test_simd_kernels test_highorder \
-  test_overlap test_farm \
+  test_overlap test_farm test_octree test_mesh \
   -- -j"$(nproc)"
-ctest --preset tsan -R 'test_(la|chns|ksp_threading|checkpoint_robustness|remesh_fastpath|gmg|obs|simd_kernels|highorder|overlap|farm)$' "$@"
+ctest --preset tsan -R 'test_(la|chns|ksp_threading|checkpoint_robustness|remesh_fastpath|gmg|obs|simd_kernels|highorder|overlap|farm|octree|mesh)$' "$@"
 
 echo "== tsan + PT_VALIDATE=1 remesh fast-path suite =="
 PT_VALIDATE=1 ctest --preset tsan -R 'test_remesh_fastpath$' "$@"
